@@ -3,23 +3,22 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-import time
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from . import simulate as S
 from .checkpoint import Checkpoint, load_checkpoint, restore_model, save_checkpoint
 from .config import RunConfig, config_from_dict, config_to_dict, load_config
 from .errors import CheckpointError, ConfigError, ContractError, FormatError, NavfuseError
-from .kitti import (AugmentPolicy, load_sequences, save_ppm,
-                    serialize_poses, serialize_velodyne_bin)
+from .kitti import (AugmentPolicy, CalibrationSet, load_sequences, save_ppm,
+                    serialize_calib, serialize_poses, serialize_velodyne_bin)
 from .metrics import FPS_BASELINE, evaluate_run
 from .params import make_rng
-from .pipeline import init_pipeline, initial_state, pipeline_step
+from .pipeline import init_pipeline, rollout
 from .train import train as run_train
 from .verify import run_op_checks, run_pipeline_check
 
@@ -68,12 +67,6 @@ def _ablation_flags(cfg: RunConfig) -> dict:
             "modality": cfg.pipeline.modality}
 
 
-def _calib_text(P: np.ndarray, Tr: np.ndarray) -> str:
-    p_line = "P2: " + " ".join(repr(float(v)) for v in P.ravel())
-    tr_line = "Tr: " + " ".join(repr(float(v)) for v in Tr[:3].ravel())
-    return p_line + "\n" + tr_line + "\n"
-
-
 def _load_tagged_dataset(cfg: RunConfig) -> list[tuple[str, list]]:
     """Labeled sequences with scenario tags.
 
@@ -88,8 +81,14 @@ def _load_tagged_dataset(cfg: RunConfig) -> list[tuple[str, list]]:
     manifest_path = root / "manifest.yaml"
     tags = {}
     if manifest_path.exists():
-        manifest = yaml.safe_load(manifest_path.read_text())
-        tags = manifest.get("sequences", {})
+        try:
+            manifest = yaml.safe_load(manifest_path.read_text())
+        except yaml.YAMLError as e:
+            raise FormatError(f"{manifest_path}: not valid YAML: {e}") from None
+        tags = manifest.get("sequences", {}) if isinstance(manifest, dict) else None
+        if not isinstance(tags, dict):
+            raise FormatError(f"{manifest_path}: the manifest and its 'sequences' "
+                              f"must be mappings")
     out = []
     for sid in sorted(seqs):
         tag = tags.get(f"{sid:02d}", "standard")
@@ -142,7 +141,7 @@ def cmd_synth(args) -> int:
                     serialize_velodyne_bin(cloud))
                 (seq_dir / "image_2" / f"{t:06d}.ppm").write_bytes(save_ppm(image))
             (seq_dir / "calib.txt").write_text(
-                _calib_text(cam.projection(), lidar.transform()))
+                serialize_calib(CalibrationSet(P=cam.projection(), Tr=lidar.transform())))
             (out_root / "poses" / f"{i:02d}.txt").write_text(
                 serialize_poses(world.trajectory[:sc.frames]))
             manifest["sequences"][f"{i:02d}"] = name
@@ -269,6 +268,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.frames < 1:
+        raise ConfigError(f"--frames must be >= 1, got {args.frames}")
     cfg = _load_run_config(args)
     _apply_ablations(cfg, args)
     model = _build_model(cfg, args.checkpoint)
@@ -280,21 +281,18 @@ def cmd_bench(args) -> int:
     labeled = S.synth_sequence(world, max(sc.frames, 12), cam, lidar,
                                rng=make_rng(cfg.seed))
 
+    # one stream whose state carries over from the warm-up into the measured
+    # frames, so state that grows from frame to frame shows in the timing
     warmup = 10
-    measure = max(args.frames, 200)
-    state = initial_state(model.cfg)
-    for i in range(warmup):
-        lf = labeled[i % len(labeled)]
-        state = pipeline_step(lf.frame, state, model, mode="eval",
-                              rng=make_rng(0)).state
-
+    measure = args.frames
     timings: dict[str, float] = {}
-    t_start = time.perf_counter()
-    for i in range(measure):
-        lf = labeled[i % len(labeled)]
-        state = pipeline_step(lf.frame, state, model, mode="eval",
-                              rng=make_rng(0), timings=timings).state
-    total = time.perf_counter() - t_start
+    stream = (labeled[i % len(labeled)].frame
+              for i in itertools.chain(range(warmup), range(measure)))
+    steps = rollout(model, stream, timings)
+    for _ in itertools.islice(steps, warmup):
+        pass
+    timings.clear()
+    total = sum(seconds for _, seconds in steps)
     fps = measure / total
     passed = fps >= FPS_BASELINE
 

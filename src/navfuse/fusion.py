@@ -9,7 +9,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, DimensionError
-from .geometry import project_points
+from .geometry import Z_NEAR_DEFAULT, project_points
 from .kitti import CalibrationSet, Image, PointCloud
 from .params import ParamRegistry, kaiming_uniform
 from .tensor import Tensor
@@ -61,10 +61,11 @@ def reliability_image(image: Image, tau_img: float = TAU_IMG_DEFAULT) -> float:
 
 
 def reliability_cloud(cloud: PointCloud, calib: CalibrationSet, width: int, height: int,
-                      n_ref: int = N_REF_DEFAULT) -> float:
-    """In-frustum point density relative to a reference count."""
+                      n_ref: int = N_REF_DEFAULT, z_near: float = Z_NEAR_DEFAULT) -> float:
+    """In-frustum point density relative to a reference count; the frustum
+    starts at z_near, as for the projected sparse depth."""
     xyz_cam = cloud.xyz @ calib.Tr[:3, :3].T + calib.Tr[:3, 3]
-    _, _, _, idx = project_points(xyz_cam, calib.P, width, height)
+    _, _, _, idx = project_points(xyz_cam, calib.P, width, height, z_near)
     return float(np.clip(len(idx) / n_ref, REL_FLOOR, 1.0))
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
@@ -12,13 +10,6 @@ from .tensor import Tensor
 
 Z_NEAR_DEFAULT = 0.1
 DEPTH_MAX_DEFAULT = 80.0
-
-
-@dataclass
-class PixelPoint:
-    u: float
-    v: float
-    depth: float  # camera z, meters
 
 
 def lidar_to_camera(cloud: PointCloud, calib: CalibrationSet) -> PointCloud:
@@ -49,36 +40,15 @@ def project_points(xyz_cam: np.ndarray, P: np.ndarray, width: int, height: int,
     return u[idx], v[idx], z[idx], idx
 
 
-def project_to_pixels(cloud_cam: PointCloud, P: np.ndarray, width: int, height: int,
-                      z_near: float = Z_NEAR_DEFAULT) -> list[PixelPoint]:
-    u, v, d, _ = project_points(cloud_cam.xyz, P, width, height, z_near)
-    return [PixelPoint(u=float(a), v=float(b), depth=float(c)) for a, b, c in zip(u, v, d)]
-
-
-def render_sparse_depth(pixels: list[PixelPoint], width: int, height: int,
-                        cell: int = 1, depth_max: float = DEPTH_MAX_DEFAULT) -> Tensor:
-    """Min-depth z-buffer rasterized onto an (H/cell) x (W/cell) grid.
+def render_sparse_depth_arrays(u: np.ndarray, v: np.ndarray, depth: np.ndarray,
+                               width: int, height: int, cell: int = 1,
+                               depth_max: float = DEPTH_MAX_DEFAULT) -> Tensor:
+    """Min-depth z-buffer of projected points rasterized onto an
+    (H/cell) x (W/cell) grid.
 
     Empty cells hold 0; occupied cells hold min depth / depth_max, clamped
     to [0, 1].
     """
-    if cell <= 0 or width % cell or height % cell:
-        raise ConfigError(f"cell {cell} must divide width {width} and height {height}")
-    hh, ww = height // cell, width // cell
-    grid = np.full((hh, ww), np.inf)
-    for p in pixels:
-        i = int(p.v) // cell
-        j = int(p.u) // cell
-        if 0 <= i < hh and 0 <= j < ww and p.depth < grid[i, j]:
-            grid[i, j] = p.depth
-    grid[~np.isfinite(grid)] = 0.0
-    return Tensor(np.clip(grid / depth_max, 0.0, 1.0)[None, :, :])
-
-
-def render_sparse_depth_arrays(u: np.ndarray, v: np.ndarray, depth: np.ndarray,
-                               width: int, height: int, cell: int = 1,
-                               depth_max: float = DEPTH_MAX_DEFAULT) -> Tensor:
-    """Vectorized variant of render_sparse_depth for the hot pipeline path."""
     if cell <= 0 or width % cell or height % cell:
         raise ConfigError(f"cell {cell} must divide width {width} and height {height}")
     hh, ww = height // cell, width // cell

@@ -158,6 +158,13 @@ def parse_calib(text: str) -> CalibrationSet:
     return CalibrationSet(P=entries["P2"], Tr=tr).validate()
 
 
+def serialize_calib(calib: CalibrationSet) -> str:
+    """calib.txt body with the P2 and Tr lines that parse_calib reads."""
+    p_line = "P2: " + " ".join(repr(float(v)) for v in calib.P.ravel())
+    tr_line = "Tr: " + " ".join(repr(float(v)) for v in calib.Tr[:3].ravel())
+    return p_line + "\n" + tr_line + "\n"
+
+
 def parse_poses(text: str) -> list[Pose]:
     """One 3x4 row-major rigid transform per non-empty line."""
     poses = []

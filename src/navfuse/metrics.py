@@ -3,14 +3,13 @@ throughput, robustness index."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, ContractError
 from .kitti import LabeledFrame
-from .pipeline import ModelState, initial_state, make_rng, pipeline_step
+from .pipeline import ModelState, rollout
 from .temporal import NavOutput
 
 NA_THRESHOLD_DEFAULT = 0.5  # meters
@@ -90,12 +89,8 @@ def evaluate_run(dataset: list[tuple[str, list[LabeledFrame]]], model: ModelStat
     total_time = 0.0
     for tag, frames in dataset:
         bucket = by_scenario.setdefault(tag, {"preds": [], "labels": [], "weights": []})
-        state = initial_state(model.cfg)
-        for lf in frames:
-            t0 = time.perf_counter()
-            res = pipeline_step(lf.frame, state, model, mode="eval", rng=make_rng(0))
-            total_time += time.perf_counter() - t0
-            state = res.state
+        for lf, (res, seconds) in zip(frames, rollout(model, [lf.frame for lf in frames])):
+            total_time += seconds
             bucket["preds"].append(res.nav)
             bucket["labels"].append(lf)
             bucket["weights"].append((res.fused.weights.w_rgb, res.fused.weights.w_lidar))

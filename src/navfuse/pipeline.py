@@ -3,7 +3,9 @@ modeling -> navigation decision."""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -97,13 +99,11 @@ def pipeline_step(frame: Frame, state: TM.TemporalState, model: ModelState,
     With a timings dict, per-stage wall time accumulates under the keys
     'backbones', 'fusion', 'temporal'.
     """
-    import time as _time
-
     cfg = model.cfg
     params = model.params
     w, h = frame.image.width, frame.image.height
 
-    t0 = _time.perf_counter() if timings is not None else 0.0
+    t0 = time.perf_counter() if timings is not None else 0.0
     cam_cloud = G.lidar_to_camera(frame.cloud, frame.calib)
     u, v, depth, _ = G.project_points(cam_cloud.xyz, frame.calib.P, w, h, cfg.z_near)
     sparse_depth = G.render_sparse_depth_arrays(u, v, depth, w, h, cell=1,
@@ -120,14 +120,14 @@ def pipeline_step(frame: Frame, state: TM.TemporalState, model: ModelState,
         r_rgb = F.REL_FLOOR
         rgb_feat = BranchFeatures(vector=Tensor(np.zeros(cfg.rgb.out_dim)))
     if use_lidar:
-        r_lidar = F.reliability_cloud(frame.cloud, frame.calib, w, h, cfg.n_ref)
+        r_lidar = F.reliability_cloud(frame.cloud, frame.calib, w, h, cfg.n_ref, cfg.z_near)
         pt_feat = point_forward(cam_cloud, cfg.point, params, mode=mode, rng=rng)
     else:
         r_lidar = F.REL_FLOOR
         pt_feat = BranchFeatures(vector=Tensor(np.zeros(cfg.point.out_dim)))
 
     if timings is not None:
-        t1 = _time.perf_counter()
+        t1 = time.perf_counter()
         timings["backbones"] = timings.get("backbones", 0.0) + (t1 - t0)
         t0 = t1
 
@@ -138,7 +138,7 @@ def pipeline_step(frame: Frame, state: TM.TemporalState, model: ModelState,
     fused = F.fuse(f_rgb, f_lidar, w_t, rel)
 
     if timings is not None:
-        t1 = _time.perf_counter()
+        t1 = time.perf_counter()
         timings["fusion"] = timings.get("fusion", 0.0) + (t1 - t0)
         t0 = t1
 
@@ -146,17 +146,16 @@ def pipeline_step(frame: Frame, state: TM.TemporalState, model: ModelState,
         delta = TM.temporal_delta(fused.vector, state.prev_fused)
         hidden = TM.recurrent_step(delta, state.hidden, params, cfg.cell)
         window = (state.window + [fused.vector])[-cfg.window:]
-        context = TM.temporal_attention(
-            hidden if cfg.cell == "gru" else hidden[:cfg.hidden_dim],
-            window, params)
     else:
         hidden = Tensor(np.zeros(cfg.state_dim))
         window = []
-        context = Tensor(np.zeros(cfg.fusion_dim))
+    # an LSTM state stacks (h, c); attention and the decision head read h
+    h_out = hidden if cfg.cell == "gru" else hidden[:cfg.hidden_dim]
+    context = (TM.temporal_attention(h_out, window, params) if cfg.use_temporal
+               else Tensor(np.zeros(cfg.fusion_dim)))
 
     nav, out5 = TM.decision_forward(
-        hidden if cfg.cell == "gru" else hidden[:cfg.hidden_dim],
-        context, fused.vector, params, mode=mode, rng=rng,
+        h_out, context, fused.vector, params, mode=mode, rng=rng,
         dropout_rate=cfg.dropout_rate, max_step=cfg.max_step)
 
     loss = None
@@ -164,19 +163,26 @@ def pipeline_step(frame: Frame, state: TM.TemporalState, model: ModelState,
         loss = TM.nav_loss(out5, label.waypoint, label.ego_delta, cfg.lambda_ego)
 
     if timings is not None:
-        timings["temporal"] = timings.get("temporal", 0.0) + (_time.perf_counter() - t0)
+        timings["temporal"] = timings.get("temporal", 0.0) + (time.perf_counter() - t0)
 
     new_state = TM.TemporalState(hidden=hidden, window=window, prev_fused=fused.vector)
     return StepResult(nav=nav, fused=fused, state=new_state, loss=loss)
 
 
-def predict_sequence(model: ModelState, frames: list[LabeledFrame]) -> list[StepResult]:
-    """Run the pipeline in eval mode over one sequence from a fresh state."""
+def rollout(model: ModelState, frames: Iterable[Frame],
+            timings: dict[str, float] | None = None) -> Iterator[tuple[StepResult, float]]:
+    """Run the pipeline in eval mode over one frame stream from a fresh state,
+    carrying the state from frame to frame; yields each step's result and
+    its wall seconds. timings accumulates per-stage time as in pipeline_step.
+
+    Every step gets its own make_rng(0): a cloud above the point budget is
+    subsampled from it, so a frame's subsample does not depend on its
+    position in the stream.
+    """
     state = initial_state(model.cfg)
-    results = []
-    for lf in frames:
-        res = pipeline_step(lf.frame, state, model, mode="eval",
-                            rng=make_rng(0), label=None)
+    for frame in frames:
+        t0 = time.perf_counter()
+        res = pipeline_step(frame, state, model, mode="eval", rng=make_rng(0),
+                            timings=timings)
+        yield res, time.perf_counter() - t0
         state = res.state
-        results.append(res)
-    return results

@@ -59,9 +59,15 @@ def make_chunks(sequences: list[list[LabeledFrame]], window: int) -> list[list[L
     return chunks
 
 
-def _chunk_loss(chunk: list[LabeledFrame], model: ModelState, mode: str,
-                rng: np.random.Generator, augment: AugmentPolicy | None):
-    """Unrolled loss over one chunk from a fresh temporal state."""
+def sequence_loss(chunk: list[LabeledFrame], model: ModelState, mode: str,
+                  rng: np.random.Generator, augment: AugmentPolicy | None):
+    """Mean loss of the pipeline unrolled over one chunk from a fresh temporal
+    state; rng is shared by augmentation, subsampling and dropout of every
+    frame in the chunk.
+
+    pipeline_step and augment_frame are called through this module's names,
+    which is where the traced benchmark (perfbench/spans.py) wraps them.
+    """
     state = initial_state(model.cfg)
     total = None
     for lf in chunk:
@@ -76,7 +82,7 @@ def _chunk_loss(chunk: list[LabeledFrame], model: ModelState, mode: str,
 def validation_loss(model: ModelState, val_chunks: list[list[LabeledFrame]]) -> float:
     losses = []
     for chunk in val_chunks:
-        loss = _chunk_loss(chunk, model, "eval", make_rng(0), None)
+        loss = sequence_loss(chunk, model, "eval", make_rng(0), None)
         losses.append(float(loss.data))
     return float(np.mean(losses)) if losses else float("nan")
 
@@ -132,7 +138,7 @@ def train(model: ModelState, train_seqs: list[list[LabeledFrame]],
                 continue
             batch_loss = None
             for i in idxs:
-                loss = _chunk_loss(train_chunks[i], model, "train", rng, augment)
+                loss = sequence_loss(train_chunks[i], model, "train", rng, augment)
                 batch_loss = loss if batch_loss is None else batch_loss + loss
             batch_loss = batch_loss * (1.0 / len(idxs))
             epoch_losses.append(float(batch_loss.data))

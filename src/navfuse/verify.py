@@ -11,9 +11,9 @@ from . import tensor as T
 from .backbones import PointBranchConfig, RgbBranchConfig
 from .gradcheck import GradCheckReport, grad_check
 from .params import ParamRegistry, make_rng
-from .pipeline import ModelState, PipelineConfig, init_pipeline, initial_state, pipeline_step
+from .pipeline import PipelineConfig, init_pipeline
 from .simulate import CameraConfig, LidarConfig, World, _default_boxes, make_trajectory, synth_sequence
-from .temporal import nav_loss
+from .train import sequence_loss
 
 
 @dataclass
@@ -101,22 +101,12 @@ def run_pipeline_check(seed: int = 0, n_frames: int = 4, h: float = 1e-6,
                        entries_per_param: int = 2) -> GradCheckReport:
     """Gradient check of the fully unrolled pipeline loss over n_frames.
 
-    Eval mode keeps the closure deterministic (no dropout, fixed BN stats);
-    a seeded subset of entries per parameter keeps the runtime bounded.
+    Eval mode keeps the closure deterministic (no dropout, fixed BN stats),
+    and every evaluation gets a fresh make_rng(0), as validation does; a
+    seeded subset of entries per parameter keeps the runtime bounded.
     """
-    cfg = small_pipeline_config()
-    model = init_pipeline(cfg, seed=seed)
+    model = init_pipeline(small_pipeline_config(), seed=seed)
     frames = small_synth_frames(n_frames + 1, seed=seed)[:n_frames]
-
-    def f():
-        state = initial_state(cfg)
-        total = None
-        for lf in frames:
-            res = pipeline_step(lf.frame, state, model, mode="eval",
-                                rng=make_rng(0), label=lf)
-            state = res.state
-            total = res.loss if total is None else total + res.loss
-        return total * (1.0 / len(frames))
-
-    return grad_check(f, model.params, h=h, tol=tol,
+    return grad_check(lambda: sequence_loss(frames, model, "eval", make_rng(0), None),
+                      model.params, h=h, tol=tol,
                       entries_per_param=entries_per_param, rng=make_rng(seed + 1))

@@ -4,6 +4,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
 import yaml
 
 from navfuse.cli import main
@@ -146,13 +147,29 @@ def test_gradcheck_passes(tmp_path):
 def test_bench_report(tmp_path):
     cfg, data = _write_cfg(tmp_path)
     out = tmp_path / "bench"
-    code = main(["bench", "--config", str(cfg), "--out", str(out), "--frames", "200"])
+    code = main(["bench", "--config", str(cfg), "--out", str(out), "--frames", "20"])
     rec = json.loads((out / "bench.jsonl").read_text())
-    assert rec["frames"] >= 200
+    assert rec["frames"] == 20
     assert set(rec["stage_seconds"]) == {"backbones", "fusion", "temporal"}
     # stage accounting covers the loop within 5%
     assert sum(rec["stage_seconds"].values()) <= rec["wall_seconds"] * 1.05
     assert code == (0 if rec["passed"] else 1)
+
+
+def test_bench_nonpositive_frames_is_usage_error(tmp_path):
+    cfg, _ = _write_cfg(tmp_path)
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "b"),
+                 "--frames", "0"]) == 2
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("manifest", ["[standard, dynamic]\n", "sequences: [standard]\n",
+                                      "sequences: {00: standard\n"])
+def test_malformed_manifest_is_io_error(tmp_path, manifest):
+    cfg, data = _write_cfg(tmp_path)
+    assert main(["synth", "--config", str(cfg)]) == 0
+    (data / "manifest.yaml").write_text(manifest)
+    assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 3
 
 
 def test_missing_config_is_io_error(tmp_path):

@@ -70,6 +70,13 @@ def test_reliability_cloud_saturation():
     assert reliability_cloud(PointCloud(points=pts), _calib(), 100, 100, n_ref=1024) == 1.0
 
 
+def test_reliability_cloud_z_near():
+    # 0.5 m lies beyond the default 0.1 m near plane but before a 1 m one
+    cloud = PointCloud(points=np.array([[0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 10.0, 0.5]]))
+    assert reliability_cloud(cloud, _calib(), 100, 100, n_ref=2) == 1.0
+    assert reliability_cloud(cloud, _calib(), 100, 100, n_ref=2, z_near=1.0) == 0.5
+
+
 def test_reliability_cloud_dropout_expectation():
     rng = make_rng(1)
     n = 400

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from navfuse.errors import ConfigError
-from navfuse.geometry import (PixelPoint, lidar_to_camera, project_points,
-                              project_to_pixels, render_sparse_depth,
+from navfuse.geometry import (DEPTH_MAX_DEFAULT, lidar_to_camera, project_points,
                               render_sparse_depth_arrays)
 from navfuse.kitti import CalibrationSet, PointCloud
 from navfuse.params import make_rng
@@ -21,6 +20,29 @@ def _cloud(xyz, refl=None):
 def _calib(tr=None, f=100.0, cx=50.0, cy=50.0):
     p = np.array([[f, 0, cx, 0], [0, f, cy, 0], [0, 0, 1, 0]], dtype=float)
     return CalibrationSet(P=p, Tr=np.eye(4) if tr is None else tr)
+
+
+def _project(cloud, width, height):
+    u, v, d, _ = project_points(cloud.xyz, _calib().P, width, height)
+    return list(zip(u.tolist(), v.tolist(), d.tolist()))
+
+
+def _render(pixels, width, height, **kw):
+    u, v, d = np.array(pixels, dtype=float).reshape(-1, 3).T
+    return render_sparse_depth_arrays(u, v, d, width, height, **kw)
+
+
+def _render_loop(pixels, width, height, cell=1, depth_max=DEPTH_MAX_DEFAULT):
+    """Reference rasterizer, one point at a time: the per-cell minimum depth
+    over depth_max, clamped to [0, 1]; empty cells hold 0."""
+    hh, ww = height // cell, width // cell
+    grid = np.full((hh, ww), np.inf)
+    for u, v, depth in pixels:
+        i, j = int(v) // cell, int(u) // cell
+        if 0 <= i < hh and 0 <= j < ww and depth < grid[i, j]:
+            grid[i, j] = depth
+    grid[~np.isfinite(grid)] = 0.0
+    return np.clip(grid / depth_max, 0.0, 1.0)[None, :, :]
 
 
 def test_lidar_to_camera_identity():
@@ -59,23 +81,20 @@ def test_lidar_to_camera_rigidity():
 
 
 def test_project_optical_axis():
-    pix = project_to_pixels(_cloud([[0, 0, 10]]), _calib().P, 100, 100)
-    assert len(pix) == 1
-    assert (pix[0].u, pix[0].v, pix[0].depth) == (50.0, 50.0, 10.0)
+    assert _project(_cloud([[0, 0, 10]]), 100, 100) == [(50.0, 50.0, 10.0)]
 
 
 def test_project_hand_value():
-    pix = project_to_pixels(_cloud([[1, 0, 10]]), _calib().P, 200, 100)
-    assert pix[0].u == pytest.approx(60.0)
+    pix = _project(_cloud([[1, 0, 10]]), 200, 100)
+    assert pix[0][0] == pytest.approx(60.0)
 
 
 def test_project_behind_camera_filtered():
-    assert project_to_pixels(_cloud([[0, 0, -5]]), _calib().P, 100, 100) == []
+    assert _project(_cloud([[0, 0, -5]]), 100, 100) == []
 
 
 def test_project_out_of_bounds_filtered():
-    pix = project_to_pixels(_cloud([[100, 0, 10]]), _calib().P, 100, 100)
-    assert pix == []
+    assert _project(_cloud([[100, 0, 10]]), 100, 100) == []
 
 
 def test_project_order_preserved():
@@ -90,36 +109,34 @@ def test_project_empty_cloud():
 
 
 def test_render_empty_all_zero():
-    t = render_sparse_depth([], 8, 8, cell=1)
+    t = _render([], 8, 8, cell=1)
     assert t.shape == (1, 8, 8)
     assert np.all(t.data == 0.0)
 
 
 def test_render_single_point_value():
-    t = render_sparse_depth([PixelPoint(u=50.0, v=50.0, depth=10.0)], 100, 100,
-                            cell=1, depth_max=80.0)
+    t = _render([(50.0, 50.0, 10.0)], 100, 100, cell=1, depth_max=80.0)
     assert t.data[0, 50, 50] == 0.125
     assert np.count_nonzero(t.data) == 1
 
 
 def test_render_min_rule():
-    pix = [PixelPoint(u=3.0, v=3.0, depth=10.0), PixelPoint(u=3.0, v=3.0, depth=5.0)]
-    t = render_sparse_depth(pix, 8, 8, cell=1, depth_max=80.0)
+    t = _render([(3.0, 3.0, 10.0), (3.0, 3.0, 5.0)], 8, 8, cell=1, depth_max=80.0)
     assert t.data[0, 3, 3] == 5.0 / 80.0
 
 
 def test_render_cell_must_divide():
     with pytest.raises(ConfigError):
-        render_sparse_depth([], 10, 10, cell=3)
+        _render([], 10, 10, cell=3)
 
 
 def test_render_range_and_monotone_under_removal():
     rng = make_rng(1)
-    pix = [PixelPoint(u=float(rng.uniform(0, 8)), v=float(rng.uniform(0, 8)),
-                      depth=float(rng.uniform(1, 100))) for _ in range(50)]
-    full = render_sparse_depth(pix, 8, 8, cell=1).data
+    pix = [(float(rng.uniform(0, 8)), float(rng.uniform(0, 8)), float(rng.uniform(1, 100)))
+           for _ in range(50)]
+    full = _render(pix, 8, 8, cell=1).data
     assert np.all(full >= 0) and np.all(full <= 1)
-    sub = render_sparse_depth(pix[:25], 8, 8, cell=1).data
+    sub = _render(pix[:25], 8, 8, cell=1).data
     both = (full > 0) & (sub > 0)
     assert np.all(sub[both] >= full[both])
 
@@ -130,7 +147,6 @@ def test_render_arrays_matches_list_variant():
     u = rng.uniform(0, 16, n)
     v = rng.uniform(0, 16, n)
     d = rng.uniform(0.5, 90, n)
-    pix = [PixelPoint(u=float(a), v=float(b), depth=float(c)) for a, b, c in zip(u, v, d)]
-    a = render_sparse_depth(pix, 16, 16, cell=2).data
+    a = _render_loop(list(zip(u, v, d)), 16, 16, cell=2)
     b = render_sparse_depth_arrays(u, v, d, 16, 16, cell=2).data
     np.testing.assert_array_equal(a, b)

@@ -10,7 +10,7 @@ from navfuse.kitti import (AugmentPolicy, CalibrationSet, Frame, Image, LabeledF
                            PointCloud, Pose, assemble_dataset, augment_frame,
                            derive_labels, load_image, load_ppm, parse_calib,
                            parse_poses, parse_velodyne_bin, save_ppm,
-                           serialize_poses, serialize_velodyne_bin)
+                           serialize_calib, serialize_poses, serialize_velodyne_bin)
 from navfuse.params import make_rng
 
 # -- velodyne ----------------------------------------------------------
@@ -81,6 +81,21 @@ def test_calib_extra_keys_ignored():
 def test_calib_missing_key():
     with pytest.raises(FormatError, match="P2"):
         parse_calib("Tr: 1 0 0 0 0 1 0 0 0 0 1 0\n")
+
+
+def test_calib_roundtrip():
+    rng = make_rng(2)
+    theta = rng.uniform(-np.pi, np.pi)
+    c, s = np.cos(theta), np.sin(theta)
+    tr = np.eye(4)
+    tr[:3, :3] = [[c, -s, 0], [s, c, 0], [0, 0, 1]]
+    tr[:3, 3] = rng.normal(size=3)
+    p = np.array([[rng.uniform(50, 800), 0, rng.uniform(10, 600), rng.normal()],
+                  [0, rng.uniform(50, 800), rng.uniform(10, 200), rng.normal()],
+                  [0, 0, 1, rng.normal()]])
+    back = parse_calib(serialize_calib(CalibrationSet(P=p, Tr=tr)))
+    np.testing.assert_array_equal(back.P, p)
+    np.testing.assert_array_equal(back.Tr, tr)
 
 
 # -- poses -------------------------------------------------------------

@@ -8,7 +8,8 @@ from navfuse.errors import ContractError, DimensionError
 from navfuse.gradcheck import grad_check
 from navfuse.optim import AdamState, adam_step
 from navfuse.params import ParamRegistry, make_rng
-from navfuse.pipeline import init_pipeline, initial_state, pipeline_step
+from navfuse.fusion import reliability_cloud
+from navfuse.pipeline import init_pipeline, initial_state, pipeline_step, rollout
 from navfuse.temporal import (TemporalState, decision_forward, init_decision_params,
                               init_recurrent_params, init_temporal_attention_params,
                               nav_loss, recurrent_step, temporal_attention,
@@ -208,13 +209,8 @@ def test_pipeline_bitwise_deterministic():
     outs = []
     for _ in range(2):
         model = init_pipeline(cfg, seed=0)
-        state = initial_state(cfg)
-        run = []
-        for lf in frames:
-            res = pipeline_step(lf.frame, state, model, rng=make_rng(0))
-            state = res.state
-            run.append((res.nav.waypoint.copy(), res.nav.ego_delta.copy()))
-        outs.append(run)
+        outs.append([(res.nav.waypoint.copy(), res.nav.ego_delta.copy())
+                     for res, _ in rollout(model, [lf.frame for lf in frames])])
     for (w1, e1), (w2, e2) in zip(*outs):
         np.testing.assert_array_equal(w1, w2)
         np.testing.assert_array_equal(e1, e2)
@@ -227,13 +223,7 @@ def test_pipeline_causality():
     tampered = small_synth_frames(5, seed=99)
 
     def run(seq):
-        state = initial_state(cfg)
-        outs = []
-        for lf in seq:
-            res = pipeline_step(lf.frame, state, model, rng=make_rng(0))
-            state = res.state
-            outs.append(res.nav.waypoint.copy())
-        return outs
+        return [res.nav.waypoint.copy() for res, _ in rollout(model, [lf.frame for lf in seq])]
 
     base = run(frames)
     # perturbing only the future must not change earlier outputs
@@ -277,6 +267,18 @@ def test_pipeline_lstm_cell_variant():
     res = pipeline_step(lf.frame, initial_state(cfg), model, rng=make_rng(0))
     assert res.state.hidden.shape == (2 * cfg.hidden_dim,)
     assert np.all(np.isfinite(res.nav.waypoint))
+
+
+def test_pipeline_reliability_cloud_honours_z_near():
+    cfg = small_pipeline_config()
+    cfg.z_near = 4.0  # behind the nearest synthetic surface at 3.4 m
+    model = init_pipeline(cfg, seed=0)
+    frame = small_synth_frames(3, seed=0)[0].frame
+    w, h = frame.image.width, frame.image.height
+    res = pipeline_step(frame, initial_state(cfg), model, rng=make_rng(0))
+    r_lidar = res.fused.reliabilities.r_lidar
+    assert r_lidar == reliability_cloud(frame.cloud, frame.calib, w, h, cfg.n_ref, 4.0)
+    assert r_lidar < reliability_cloud(frame.cloud, frame.calib, w, h, cfg.n_ref)
 
 
 def test_pipeline_hidden_bounded():
