@@ -95,23 +95,26 @@ def load_checkpoint(path: str) -> Checkpoint:
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version!r} "
                               f"(reader supports {FORMAT_VERSION})")
-    total = header["total_floats"]
+    total = header.get("total_floats")
+    if not isinstance(total, int) or len(raw) - pos != 8 * total:
+        raise CheckpointError(f"{path}: payload has {len(raw) - pos} bytes, "
+                              f"header promises {total!r} floats")
     payload = np.frombuffer(raw, dtype="<f8", offset=pos)
-    if payload.size != total:
-        raise CheckpointError(f"{path}: payload has {payload.size} floats, "
-                              f"header promises {total}")
     params: dict[str, np.ndarray] = {}
     buffers: dict[str, np.ndarray] = {}
     adam_m: dict[str, np.ndarray] = {}
     adam_v: dict[str, np.ndarray] = {}
+    stores = {"param": params, "buffer": buffers, "adam.m": adam_m, "adam.v": adam_v}
     for entry in header["arrays"]:
         shape = tuple(entry["shape"])
         n = int(np.prod(shape)) if shape else 1
-        arr = payload[entry["offset"]:entry["offset"] + n].reshape(shape).copy()
-        name = entry["name"]
+        name, offset = entry["name"], entry["offset"]
         kind, _, key = name.partition("/")
-        {"param": params, "buffer": buffers,
-         "adam.m": adam_m, "adam.v": adam_v}[kind][key] = arr
+        if kind not in stores:
+            raise CheckpointError(f"{path}: array {name!r} has unknown kind {kind!r}")
+        if not 0 <= offset <= total - n:
+            raise CheckpointError(f"{path}: array {name!r} runs past the payload")
+        stores[kind][key] = payload[offset:offset + n].reshape(shape).copy()
     adam = None
     if header.get("adam") is not None:
         a = header["adam"]

@@ -5,9 +5,11 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import resource
 import sys
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from . import simulate as S
@@ -71,7 +73,8 @@ def _load_tagged_dataset(cfg: RunConfig) -> list[tuple[str, list]]:
     """Labeled sequences with scenario tags.
 
     A manifest.yaml written by `synth` supplies the tags; a plain KITTI tree
-    is treated as all-standard.
+    is treated as all-standard. yaml.BaseLoader keeps an unquoted key such
+    as `01:` the string "01", where YAML 1.1 would read the int 1.
     """
     root = Path(cfg.data.root)
     if not cfg.data.root:
@@ -82,7 +85,7 @@ def _load_tagged_dataset(cfg: RunConfig) -> list[tuple[str, list]]:
     tags = {}
     if manifest_path.exists():
         try:
-            manifest = yaml.safe_load(manifest_path.read_text())
+            manifest = yaml.load(manifest_path.read_text(), Loader=yaml.BaseLoader)
         except yaml.YAMLError as e:
             raise FormatError(f"{manifest_path}: not valid YAML: {e}") from None
         tags = manifest.get("sequences", {}) if isinstance(manifest, dict) else None
@@ -292,12 +295,18 @@ def cmd_bench(args) -> int:
     for _ in itertools.islice(steps, warmup):
         pass
     timings.clear()
-    total = sum(seconds for _, seconds in steps)
+    latencies = [seconds for _, seconds in steps]
+    total = sum(latencies)
     fps = measure / total
     passed = fps >= FPS_BASELINE
+    p50, p99 = 1e3 * np.percentile(latencies, [50, 99])
+    # ru_maxrss is in KiB on Linux
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     record = {"record": "bench", "frames": measure, "wall_seconds": total,
               "fps": fps, "fps_baseline": FPS_BASELINE, "passed": passed,
+              "frame_latency_p50_ms": float(p50), "frame_latency_p99_ms": float(p99),
+              "peak_rss_mb": peak_rss_mb,
               "stage_seconds": {k: timings[k] for k in sorted(timings)},
               "ablations": _ablation_flags(cfg)}
     out_dir = Path(cfg.out_dir)
@@ -305,7 +314,8 @@ def cmd_bench(args) -> int:
     with open(out_dir / "bench.jsonl", "w") as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
     print(f"bench: {measure} frames in {total:.2f}s -> {fps:.1f} FPS "
-          f"({'pass' if passed else 'FAIL'} vs baseline {FPS_BASELINE:.0f})")
+          f"({'pass' if passed else 'FAIL'} vs baseline {FPS_BASELINE:.0f}); "
+          f"latency p50 {p50:.1f} ms, p99 {p99:.1f} ms; peak RSS {peak_rss_mb:.0f} MB")
     for k in sorted(timings):
         print(f"  {k:<10} {timings[k]:8.3f}s ({100 * timings[k] / total:5.1f}%)")
     return EXIT_OK if passed else EXIT_CHECK_FAILURE

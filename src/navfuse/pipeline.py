@@ -3,6 +3,7 @@ modeling -> navigation decision."""
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -17,7 +18,7 @@ from .backbones import (BranchFeatures, PointBranchConfig, RgbBranchConfig,
 from .errors import ConfigError
 from .kitti import Frame, LabeledFrame
 from .params import ParamRegistry, make_rng
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 
 @dataclass
@@ -94,79 +95,84 @@ def pipeline_step(frame: Frame, state: TM.TemporalState, model: ModelState,
                   label: LabeledFrame | None = None,
                   timings: dict[str, float] | None = None) -> StepResult:
     """One full perception-to-decision step; returns output, fused feature,
-    the updated temporal state, and (train mode with a label) the loss.
+    the updated temporal state, and (with a label) the loss.
+
+    A step records a tape only when it is given a label: without one there
+    is no loss to differentiate, so it runs under tensor.no_grad() and the
+    state it returns holds no graph of earlier frames.
 
     With a timings dict, per-stage wall time accumulates under the keys
     'backbones', 'fusion', 'temporal'.
     """
-    cfg = model.cfg
-    params = model.params
-    w, h = frame.image.width, frame.image.height
+    with (contextlib.nullcontext() if label is not None else no_grad()):
+        cfg = model.cfg
+        params = model.params
+        w, h = frame.image.width, frame.image.height
 
-    t0 = time.perf_counter() if timings is not None else 0.0
-    cam_cloud = G.lidar_to_camera(frame.cloud, frame.calib)
-    u, v, depth, _ = G.project_points(cam_cloud.xyz, frame.calib.P, w, h, cfg.z_near)
-    sparse_depth = G.render_sparse_depth_arrays(u, v, depth, w, h, cell=1,
-                                               depth_max=cfg.depth_max)
+        t0 = time.perf_counter() if timings is not None else 0.0
+        cam_cloud = G.lidar_to_camera(frame.cloud, frame.calib)
+        u, v, depth, _ = G.project_points(cam_cloud.xyz, frame.calib.P, w, h, cfg.z_near)
+        sparse_depth = G.render_sparse_depth_arrays(u, v, depth, w, h, cell=1,
+                                                   depth_max=cfg.depth_max)
 
-    use_rgb = cfg.modality in ("rgb", "both")
-    use_lidar = cfg.modality in ("lidar", "both") and len(cam_cloud) > 0
+        use_rgb = cfg.modality in ("rgb", "both")
+        use_lidar = cfg.modality in ("lidar", "both") and len(cam_cloud) > 0
 
-    if use_rgb:
-        r_rgb = F.reliability_image(frame.image, cfg.tau_img)
-        rgb_feat = rgb_forward(frame.image, sparse_depth, cfg.rgb, params, model.buffers,
-                               mode=mode, use_attention=cfg.use_attention)
-    else:
-        r_rgb = F.REL_FLOOR
-        rgb_feat = BranchFeatures(vector=Tensor(np.zeros(cfg.rgb.out_dim)))
-    if use_lidar:
-        r_lidar = F.reliability_cloud(frame.cloud, frame.calib, w, h, cfg.n_ref, cfg.z_near)
-        pt_feat = point_forward(cam_cloud, cfg.point, params, mode=mode, rng=rng)
-    else:
-        r_lidar = F.REL_FLOOR
-        pt_feat = BranchFeatures(vector=Tensor(np.zeros(cfg.point.out_dim)))
+        if use_rgb:
+            r_rgb = F.reliability_image(frame.image, cfg.tau_img)
+            rgb_feat = rgb_forward(frame.image, sparse_depth, cfg.rgb, params, model.buffers,
+                                   mode=mode, use_attention=cfg.use_attention)
+        else:
+            r_rgb = F.REL_FLOOR
+            rgb_feat = BranchFeatures(vector=Tensor(np.zeros(cfg.rgb.out_dim)))
+        if use_lidar:
+            r_lidar = F.reliability_cloud(frame.cloud, frame.calib, w, h, cfg.n_ref, cfg.z_near)
+            pt_feat = point_forward(cam_cloud, cfg.point, params, mode=mode, rng=rng)
+        else:
+            r_lidar = F.REL_FLOOR
+            pt_feat = BranchFeatures(vector=Tensor(np.zeros(cfg.point.out_dim)))
 
-    if timings is not None:
-        t1 = time.perf_counter()
-        timings["backbones"] = timings.get("backbones", 0.0) + (t1 - t0)
-        t0 = t1
+        if timings is not None:
+            t1 = time.perf_counter()
+            timings["backbones"] = timings.get("backbones", 0.0) + (t1 - t0)
+            t0 = t1
 
-    rel = F.ReliabilityScores(r_rgb=r_rgb, r_lidar=r_lidar)
-    f_rgb = F.semantic_map(rgb_feat.vector, params, "rgb")
-    f_lidar = F.semantic_map(pt_feat.vector, params, "lidar")
-    _, w_t = F.fusion_weights(f_rgb, f_lidar, rel, params, cfg.beta)
-    fused = F.fuse(f_rgb, f_lidar, w_t, rel)
+        rel = F.ReliabilityScores(r_rgb=r_rgb, r_lidar=r_lidar)
+        f_rgb = F.semantic_map(rgb_feat.vector, params, "rgb")
+        f_lidar = F.semantic_map(pt_feat.vector, params, "lidar")
+        _, w_t = F.fusion_weights(f_rgb, f_lidar, rel, params, cfg.beta)
+        fused = F.fuse(f_rgb, f_lidar, w_t, rel)
 
-    if timings is not None:
-        t1 = time.perf_counter()
-        timings["fusion"] = timings.get("fusion", 0.0) + (t1 - t0)
-        t0 = t1
+        if timings is not None:
+            t1 = time.perf_counter()
+            timings["fusion"] = timings.get("fusion", 0.0) + (t1 - t0)
+            t0 = t1
 
-    if cfg.use_temporal:
-        delta = TM.temporal_delta(fused.vector, state.prev_fused)
-        hidden = TM.recurrent_step(delta, state.hidden, params, cfg.cell)
-        window = (state.window + [fused.vector])[-cfg.window:]
-    else:
-        hidden = Tensor(np.zeros(cfg.state_dim))
-        window = []
-    # an LSTM state stacks (h, c); attention and the decision head read h
-    h_out = hidden if cfg.cell == "gru" else hidden[:cfg.hidden_dim]
-    context = (TM.temporal_attention(h_out, window, params) if cfg.use_temporal
-               else Tensor(np.zeros(cfg.fusion_dim)))
+        if cfg.use_temporal:
+            delta = TM.temporal_delta(fused.vector, state.prev_fused)
+            hidden = TM.recurrent_step(delta, state.hidden, params, cfg.cell)
+            window = (state.window + [fused.vector])[-cfg.window:]
+        else:
+            hidden = Tensor(np.zeros(cfg.state_dim))
+            window = []
+        # an LSTM state stacks (h, c); attention and the decision head read h
+        h_out = hidden if cfg.cell == "gru" else hidden[:cfg.hidden_dim]
+        context = (TM.temporal_attention(h_out, window, params) if cfg.use_temporal
+                   else Tensor(np.zeros(cfg.fusion_dim)))
 
-    nav, out5 = TM.decision_forward(
-        h_out, context, fused.vector, params, mode=mode, rng=rng,
-        dropout_rate=cfg.dropout_rate, max_step=cfg.max_step)
+        nav, out5 = TM.decision_forward(
+            h_out, context, fused.vector, params, mode=mode, rng=rng,
+            dropout_rate=cfg.dropout_rate, max_step=cfg.max_step)
 
-    loss = None
-    if label is not None:
-        loss = TM.nav_loss(out5, label.waypoint, label.ego_delta, cfg.lambda_ego)
+        loss = None
+        if label is not None:
+            loss = TM.nav_loss(out5, label.waypoint, label.ego_delta, cfg.lambda_ego)
 
-    if timings is not None:
-        timings["temporal"] = timings.get("temporal", 0.0) + (time.perf_counter() - t0)
+        if timings is not None:
+            timings["temporal"] = timings.get("temporal", 0.0) + (time.perf_counter() - t0)
 
-    new_state = TM.TemporalState(hidden=hidden, window=window, prev_fused=fused.vector)
-    return StepResult(nav=nav, fused=fused, state=new_state, loss=loss)
+        new_state = TM.TemporalState(hidden=hidden, window=window, prev_fused=fused.vector)
+        return StepResult(nav=nav, fused=fused, state=new_state, loss=loss)
 
 
 def rollout(model: ModelState, frames: Iterable[Frame],

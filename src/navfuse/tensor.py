@@ -4,9 +4,15 @@ The tape is define-by-run: every op that touches a gradient-requiring
 tensor records a backward closure on its output node. ``backward`` on a
 scalar walks the graph once in reverse topological order, accumulates
 ``+=`` into ``grad`` slots, then frees the tape.
+
+Inside ``no_grad()`` no op records: outputs carry no closure, mask or
+parents, and forward values are unchanged. A pipeline step without a label
+has no loss and runs under it; so does validation, which never backprops.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -128,8 +134,29 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
+# One flag for the whole process (not per thread); set only through no_grad().
+_recording = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape inside the block; the previous mode comes back on exit,
+    also after an exception and when blocks nest."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _on_tape(*ts: Tensor) -> bool:
-    return any(t.requires_grad or t._backward_fn is not None for t in ts)
+    return _recording and any(t.requires_grad or t._backward_fn is not None for t in ts)
+
+
+def _record(out: Tensor, parents: tuple, bwd) -> None:
+    out._parents = parents
+    out._backward_fn = bwd
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -155,8 +182,7 @@ def add(a, b) -> Tensor:
         def bwd(g):
             a._accumulate(_unbroadcast(g, a.data.shape))
             b._accumulate(_unbroadcast(g, b.data.shape))
-        out._parents = (a, b)
-        out._backward_fn = bwd
+        _record(out, (a, b), bwd)
     return out
 
 
@@ -167,8 +193,7 @@ def mul(a, b) -> Tensor:
         def bwd(g):
             a._accumulate(_unbroadcast(g * b.data, a.data.shape))
             b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-        out._parents = (a, b)
-        out._backward_fn = bwd
+        _record(out, (a, b), bwd)
     return out
 
 
@@ -178,8 +203,7 @@ def powc(a, p: float) -> Tensor:
     if _on_tape(a):
         def bwd(g):
             a._accumulate(g * p * a.data ** (p - 1.0))
-        out._parents = (a,)
-        out._backward_fn = bwd
+        _record(out, (a,), bwd)
     return out
 
 
@@ -190,8 +214,7 @@ def relu(a) -> Tensor:
         mask = (a.data > 0.0).astype(np.float64)
         def bwd(g):
             a._accumulate(g * mask)
-        out._parents = (a,)
-        out._backward_fn = bwd
+        _record(out, (a,), bwd)
     return out
 
 
@@ -202,8 +225,7 @@ def tanh(a) -> Tensor:
     if _on_tape(a):
         def bwd(g):
             a._accumulate(g * (1.0 - y * y))
-        out._parents = (a,)
-        out._backward_fn = bwd
+        _record(out, (a,), bwd)
     return out
 
 
@@ -214,8 +236,7 @@ def sigmoid(a) -> Tensor:
     if _on_tape(a):
         def bwd(g):
             a._accumulate(g * y * (1.0 - y))
-        out._parents = (a,)
-        out._backward_fn = bwd
+        _record(out, (a,), bwd)
     return out
 
 
@@ -226,8 +247,7 @@ def exp(a) -> Tensor:
     if _on_tape(a):
         def bwd(g):
             a._accumulate(g * y)
-        out._parents = (a,)
-        out._backward_fn = bwd
+        _record(out, (a,), bwd)
     return out
 
 
@@ -237,8 +257,7 @@ def log(a) -> Tensor:
     if _on_tape(a):
         def bwd(g):
             a._accumulate(g / a.data)
-        out._parents = (a,)
-        out._backward_fn = bwd
+        _record(out, (a,), bwd)
     return out
 
 
@@ -255,8 +274,7 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
             else:
                 gg = g if keepdims else np.expand_dims(g, axis)
                 a._accumulate(np.broadcast_to(gg, a.data.shape).copy())
-        out._parents = (a,)
-        out._backward_fn = bwd
+        _record(out, (a,), bwd)
     return out
 
 
@@ -275,8 +293,7 @@ def reshape(a, shape) -> Tensor:
     if _on_tape(a):
         def bwd(g):
             a._accumulate(g.reshape(a.data.shape))
-        out._parents = (a,)
-        out._backward_fn = bwd
+        _record(out, (a,), bwd)
     return out
 
 
@@ -286,8 +303,7 @@ def transpose(a) -> Tensor:
     if _on_tape(a):
         def bwd(g):
             a._accumulate(g.T)
-        out._parents = (a,)
-        out._backward_fn = bwd
+        _record(out, (a,), bwd)
     return out
 
 
@@ -299,8 +315,7 @@ def take(a, idx) -> Tensor:
             full = np.zeros_like(a.data)
             np.add.at(full, idx, g)
             a._accumulate(full)
-        out._parents = (a,)
-        out._backward_fn = bwd
+        _record(out, (a,), bwd)
     return out
 
 
@@ -313,8 +328,7 @@ def concat(tensors, axis=0) -> Tensor:
         def bwd(g):
             for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
                 t._accumulate(piece)
-        out._parents = tuple(tensors)
-        out._backward_fn = bwd
+        _record(out, tuple(tensors), bwd)
     return out
 
 
@@ -332,8 +346,7 @@ def matmul(a, b) -> Tensor:
         def bwd(g):
             a._accumulate(g @ b.data.T)
             b._accumulate(a.data.T @ g)
-        out._parents = (a, b)
-        out._backward_fn = bwd
+        _record(out, (a, b), bwd)
     return out
 
 
@@ -349,8 +362,7 @@ def softmax(a, axis=-1) -> Tensor:
         def bwd(g):
             dot = (g * y).sum(axis=axis, keepdims=True)
             a._accumulate(y * (g - dot))
-        out._parents = (a,)
-        out._backward_fn = bwd
+        _record(out, (a,), bwd)
     return out
 
 
@@ -413,8 +425,7 @@ def conv2d(x, kernels, stride: int = 1, pad: int = 0) -> Tensor:
             kernels._accumulate((g2d @ cols.T).reshape(kernels.data.shape))
             gcols = w2d.T @ g2d
             x._accumulate(_col2im(gcols, c, h, w, k, stride, pad))
-        out._parents = (x, kernels)
-        out._backward_fn = bwd
+        _record(out, (x, kernels), bwd)
     return out
 
 
@@ -458,8 +469,7 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
                 x._accumulate(gx_in)
             else:
                 x._accumulate(gx * inv_std)
-        out._parents = (x, gamma, beta)
-        out._backward_fn = bwd
+        _record(out, (x, gamma, beta), bwd)
     return out
 
 
@@ -477,8 +487,7 @@ def dropout(x, rate: float, rng, training: bool) -> Tensor:
     if _on_tape(x):
         def bwd(g):
             x._accumulate(g * mask)
-        out._parents = (x,)
-        out._backward_fn = bwd
+        _record(out, (x,), bwd)
     return out
 
 

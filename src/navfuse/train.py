@@ -16,6 +16,7 @@ from .optim import (AdamState, TrainConfig, adam_step, clip_global_norm,
                     early_stop_check, schedule_lr)
 from .params import make_rng
 from .pipeline import ModelState, initial_state, pipeline_step
+from .tensor import no_grad
 
 
 @dataclass
@@ -80,10 +81,11 @@ def sequence_loss(chunk: list[LabeledFrame], model: ModelState, mode: str,
 
 
 def validation_loss(model: ModelState, val_chunks: list[list[LabeledFrame]]) -> float:
-    losses = []
-    for chunk in val_chunks:
-        loss = sequence_loss(chunk, model, "eval", make_rng(0), None)
-        losses.append(float(loss.data))
+    """Mean eval-mode loss over the chunks; nothing calls backward on it, so
+    it records no tape."""
+    with no_grad():
+        losses = [float(sequence_loss(chunk, model, "eval", make_rng(0), None).data)
+                  for chunk in val_chunks]
     return float(np.mean(losses)) if losses else float("nan")
 
 

@@ -1,10 +1,13 @@
 """Checkpoint container: save/load round-trip and error contracts."""
 
+import json
+
 import numpy as np
 import pytest
 
 from navfuse.checkpoint import (FORMAT_VERSION, MAGIC, Checkpoint, load_checkpoint,
                                 restore_model, save_checkpoint)
+from navfuse.cli import main
 from navfuse.errors import CheckpointError
 from navfuse.optim import AdamState
 from navfuse.params import make_rng
@@ -83,6 +86,36 @@ def test_unsupported_version(tmp_path):
     path.write_bytes(bad)
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(str(path))
+
+
+def _drop_total_floats(header):
+    del header["total_floats"]
+
+
+def _unknown_kind(header):
+    header["arrays"][0]["name"] = "bogus/" + header["arrays"][0]["name"]
+
+
+def _past_payload(header):
+    header["arrays"][0]["offset"] = header["total_floats"] - 1  # a 3x4 array
+
+
+@pytest.mark.parametrize("edit, match", [(_drop_total_floats, "promises None"),
+                                         (_unknown_kind, "unknown kind"),
+                                         (_past_payload, "past the payload")])
+def test_malformed_header_is_checkpoint_error(tmp_path, edit, match):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(_fixture_ckpt(), str(path))
+    raw = path.read_bytes()
+    start = len(MAGIC) + 4
+    end = start + int.from_bytes(raw[len(MAGIC):start], "little")
+    header = json.loads(raw[start:end])
+    edit(header)
+    blob = json.dumps(header).encode()
+    path.write_bytes(MAGIC + len(blob).to_bytes(4, "little") + blob + raw[end:])
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(str(path))
+    assert main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "e")]) == 3
 
 
 def test_restore_into_model(tmp_path):

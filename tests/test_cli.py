@@ -153,6 +153,9 @@ def test_bench_report(tmp_path):
     assert set(rec["stage_seconds"]) == {"backbones", "fusion", "temporal"}
     # stage accounting covers the loop within 5%
     assert sum(rec["stage_seconds"].values()) <= rec["wall_seconds"] * 1.05
+    assert 0 < rec["frame_latency_p50_ms"] <= rec["frame_latency_p99_ms"]
+    assert rec["frame_latency_p99_ms"] <= 1e3 * rec["wall_seconds"]
+    assert rec["peak_rss_mb"] > 0
     assert code == (0 if rec["passed"] else 1)
 
 
@@ -170,6 +173,21 @@ def test_malformed_manifest_is_io_error(tmp_path, manifest):
     assert main(["synth", "--config", str(cfg)]) == 0
     (data / "manifest.yaml").write_text(manifest)
     assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 3
+
+
+def test_manifest_unquoted_keys_keep_their_tags(tmp_path):
+    cfg, data = _write_cfg(tmp_path)
+    assert main(["synth", "--config", str(cfg)]) == 0
+    # YAML 1.1 reads an unquoted 01 as int 1 and 10 as int 10
+    (data / "sequences" / "03").rename(data / "sequences" / "10")
+    (data / "poses" / "03.txt").rename(data / "poses" / "10.txt")
+    (data / "manifest.yaml").write_text(
+        "sequences: {00: standard, 01: dynamic, 02: low_light, 10: lidar_degraded}\n")
+    out = tmp_path / "e"
+    assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 0
+    recs = [json.loads(l) for l in (out / "report.jsonl").read_text().splitlines()]
+    assert {r["scenario"] for r in recs if r["record"] == "scenario"} == {
+        "standard", "dynamic", "low_light", "lidar_degraded"}
 
 
 def test_missing_config_is_io_error(tmp_path):

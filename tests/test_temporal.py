@@ -259,6 +259,35 @@ def test_pipeline_single_step_descent():
     assert loss_value().item() < before_val
 
 
+def test_pipeline_step_records_tape_only_with_label():
+    cfg = small_pipeline_config()
+    model = init_pipeline(cfg, seed=0)
+    lf = small_synth_frames(3, seed=0)[0]
+    # the eval-mode labeled step is the one gradcheck differentiates
+    labeled = pipeline_step(lf.frame, initial_state(cfg), model, mode="eval",
+                            rng=make_rng(0), label=lf)
+    assert labeled.loss._backward_fn is not None
+    assert labeled.state.hidden._backward_fn is not None
+    unlabeled = pipeline_step(lf.frame, initial_state(cfg), model, mode="eval",
+                              rng=make_rng(0))
+    assert unlabeled.loss is None
+    assert unlabeled.state.hidden._backward_fn is None
+    assert unlabeled.fused.vector._backward_fn is None
+    np.testing.assert_array_equal(unlabeled.nav.waypoint, labeled.nav.waypoint)
+
+
+def test_rollout_carries_no_graph():
+    cfg = small_pipeline_config()
+    model = init_pipeline(cfg, seed=0)
+    frames = [lf.frame for lf in small_synth_frames(10, seed=0)]
+    state = None
+    for res, _ in rollout(model, (frames[i % len(frames)] for i in range(60))):
+        state = res.state
+    # with no parents, the carried tensors are all that the state reaches
+    for t in [state.hidden, state.prev_fused, *state.window]:
+        assert t._backward_fn is None and t._parents == ()
+
+
 def test_pipeline_lstm_cell_variant():
     cfg = small_pipeline_config()
     cfg.cell = "lstm"

@@ -167,6 +167,28 @@ class TestBackward:
             T.mul(x, x).backward()
 
 
+class TestNoGrad:
+    def test_records_nothing_and_nests(self):
+        x = T.Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            # leaving the inner block keeps the outer one in force
+            y = T.relu(T.mul(x, x))
+            assert y._backward_fn is None and y._parents == ()
+        z = T.relu(T.mul(x, x))
+        assert z._backward_fn is not None
+        np.testing.assert_array_equal(y.data, z.data)
+
+    def test_restores_recording_after_exception(self):
+        x = T.Tensor([1.0, 2.0], requires_grad=True)
+        with pytest.raises(NumericError):
+            with T.no_grad():
+                T.softmax(T.Tensor([np.nan]))
+        T.tsum(T.mul(x, x)).backward()
+        assert np.allclose(x.grad, [2.0, 4.0])
+
+
 class TestGradCheck:
     def test_quadratic(self):
         params = ParamRegistry()

@@ -5,8 +5,9 @@ import pytest
 
 from navfuse.errors import ConfigError
 from navfuse.optim import TrainConfig
+from navfuse.params import make_rng
 from navfuse.pipeline import init_pipeline
-from navfuse.train import make_chunks, train, validation_loss
+from navfuse.train import make_chunks, sequence_loss, train, validation_loss
 from navfuse.verify import small_pipeline_config, small_synth_frames
 
 
@@ -30,6 +31,14 @@ def test_make_chunks_multiple_sequences():
 def test_make_chunks_bad_window():
     with pytest.raises(ConfigError):
         make_chunks([[1]], window=0)
+
+
+def test_validation_loss_matches_taped_chunks():
+    model = init_pipeline(small_pipeline_config(), seed=0)
+    chunks = make_chunks([small_synth_frames(9, seed=0)[:8]], model.cfg.window)
+    taped = [sequence_loss(c, model, "eval", make_rng(0), None) for c in chunks]
+    assert all(loss._backward_fn is not None for loss in taped)
+    assert validation_loss(model, chunks) == float(np.mean([float(l.data) for l in taped]))
 
 
 def test_train_empty_dataset():
