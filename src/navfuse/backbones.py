@@ -51,12 +51,6 @@ class PointBranchConfig:
         return self
 
 
-@dataclass
-class BranchFeatures:
-    vector: Tensor                 # [out_dim]
-    per_stage: list[Tensor] = field(default_factory=list)
-
-
 # -- attention ---------------------------------------------------------
 
 
@@ -93,27 +87,26 @@ def attention_block(x: Tensor, heads: int, params: ParamRegistry, prefix: str) -
 # -- RGB branch --------------------------------------------------------
 
 
-def init_rgb_params(cfg: RgbBranchConfig, params: ParamRegistry, rng,
-                    prefix: str = "rgb") -> dict[str, np.ndarray]:
+def init_rgb_params(cfg: RgbBranchConfig, params: ParamRegistry, rng) -> dict[str, np.ndarray]:
     """Register RGB branch parameters; returns the batch-norm buffer dict."""
     cfg.validate()
     buffers: dict[str, np.ndarray] = {}
     c_in = 4  # RGB + aligned sparse depth
     for i, c_out in enumerate(cfg.stage_channels):
-        register_conv(params, rng, f"{prefix}.stage{i}.conv", c_in, c_out, 3)
-        params.register(f"{prefix}.stage{i}.short.w",
+        register_conv(params, rng, f"rgb.stage{i}.conv", c_in, c_out, 3)
+        params.register(f"rgb.stage{i}.short.w",
                         kaiming_uniform(rng, (c_out, c_in, 1, 1), fan_in=c_in))
-        params.register(f"{prefix}.stage{i}.bn.gamma", np.ones(c_out))
-        params.register(f"{prefix}.stage{i}.bn.beta", np.zeros(c_out))
-        buffers[f"{prefix}.stage{i}.bn.mean"] = np.zeros(c_out)
-        buffers[f"{prefix}.stage{i}.bn.var"] = np.ones(c_out)
-        register_linear(params, rng, f"{prefix}.stage_proj{i}", c_out, cfg.out_dim)
+        params.register(f"rgb.stage{i}.bn.gamma", np.ones(c_out))
+        params.register(f"rgb.stage{i}.bn.beta", np.zeros(c_out))
+        buffers[f"rgb.stage{i}.bn.mean"] = np.zeros(c_out)
+        buffers[f"rgb.stage{i}.bn.var"] = np.ones(c_out)
+        register_linear(params, rng, f"rgb.stage_proj{i}", c_out, cfg.out_dim)
         c_in = c_out
-    register_linear(params, rng, f"{prefix}.tokproj", cfg.stage_channels[-1], cfg.attn_dim)
-    init_attention_params(params, rng, f"{prefix}.attn", cfg.attn_dim)
-    register_linear(params, rng, f"{prefix}.attn_proj", cfg.attn_dim, cfg.out_dim)
+    register_linear(params, rng, "rgb.tokproj", cfg.stage_channels[-1], cfg.attn_dim)
+    init_attention_params(params, rng, "rgb.attn", cfg.attn_dim)
+    register_linear(params, rng, "rgb.attn_proj", cfg.attn_dim, cfg.out_dim)
     # zero logits: uniform scale mixing at init
-    params.register(f"{prefix}.scale_logits", np.zeros(len(cfg.stage_channels)))
+    params.register("rgb.scale_logits", np.zeros(len(cfg.stage_channels)))
     return buffers
 
 
@@ -129,9 +122,9 @@ def _vec_linear(x: Tensor, params: ParamRegistry, prefix: str) -> Tensor:
 
 def rgb_forward(image: Image, sparse_depth: Tensor, cfg: RgbBranchConfig,
                 params: ParamRegistry, buffers: dict[str, np.ndarray],
-                mode: str = "eval", prefix: str = "rgb",
-                use_attention: bool = True) -> BranchFeatures:
-    """Residual conv stages + token self-attention + learned multi-scale mixing."""
+                mode: str = "eval", use_attention: bool = True) -> Tensor:
+    """Residual conv stages + token self-attention + learned multi-scale mixing;
+    returns the [out_dim] feature vector."""
     h, w = image.height, image.width
     stride_prod = int(np.prod(cfg.strides))
     if h % stride_prod or w % stride_prod:
@@ -143,7 +136,7 @@ def rgb_forward(image: Image, sparse_depth: Tensor, cfg: RgbBranchConfig,
     x = T.concat([rgb, sparse_depth], axis=0)
     stage_summaries = []
     for i, (c_out, stride) in enumerate(zip(cfg.stage_channels, cfg.strides)):
-        pre = f"{prefix}.stage{i}"
+        pre = f"rgb.stage{i}"
         # stride-1 same-pad conv then subsampling == floor-mode strided conv,
         # which keeps even input sizes workable with odd kernels
         sub = (slice(None), slice(None, None, stride), slice(None, None, stride))
@@ -161,18 +154,18 @@ def rgb_forward(image: Image, sparse_depth: Tensor, cfg: RgbBranchConfig,
         stage_summaries.append(T.tmean(T.reshape(x, (c, hh * ww)), axis=1))
     c, hh, ww = x.shape
     tokens = T.transpose(T.reshape(x, (c, hh * ww)))
-    tokens = _linear(tokens, params, f"{prefix}.tokproj")
+    tokens = _linear(tokens, params, "rgb.tokproj")
     if use_attention:
-        tokens = attention_block(tokens, cfg.attn_heads, params, f"{prefix}.attn")
+        tokens = attention_block(tokens, cfg.attn_heads, params, "rgb.attn")
     pooled_tokens = T.tmean(tokens, axis=0)
-    attn_part = _vec_linear(pooled_tokens, params, f"{prefix}.attn_proj")
-    scale_w = T.softmax(params.get(f"{prefix}.scale_logits"))
+    attn_part = _vec_linear(pooled_tokens, params, "rgb.attn_proj")
+    scale_w = T.softmax(params.get("rgb.scale_logits"))
     mixed = attn_part
     for i, summary in enumerate(stage_summaries):
-        proj = _vec_linear(summary, params, f"{prefix}.stage_proj{i}")
+        proj = _vec_linear(summary, params, f"rgb.stage_proj{i}")
         mixed = T.add(mixed, T.mul(proj, scale_w[i:i + 1]))
     T.assert_finite(mixed, "rgb branch output")
-    return BranchFeatures(vector=mixed, per_stage=stage_summaries)
+    return mixed
 
 
 # -- point branch ------------------------------------------------------
@@ -196,14 +189,15 @@ def dynamic_sample_count(cloud: PointCloud, cfg: PointBranchConfig) -> int:
     return int(min(max(count, cfg.centroids_min), min(cfg.centroids_max, n)))
 
 
-def fps_sample(cloud: PointCloud, k: int, start_index: int = 0) -> list[int]:
-    """Greedy farthest-point sampling; ties break to the lowest index."""
+def fps_sample(cloud: PointCloud, k: int) -> list[int]:
+    """Greedy farthest-point sampling from point 0; ties break to the lowest
+    index."""
     n = len(cloud)
     if not (1 <= k <= n):
         raise ContractError(f"fps_sample needs 1 <= k <= N, got k={k}, N={n}")
     xyz = cloud.xyz
-    chosen = [start_index]
-    diff = xyz - xyz[start_index]
+    chosen = [0]
+    diff = xyz - xyz[0]
     d2 = np.einsum("ij,ij->i", diff, diff)
     # per-round distances via the |x|^2 + |c|^2 - 2 x.c expansion: one gemv
     # instead of an n x 3 subtract + reduce
@@ -215,22 +209,20 @@ def fps_sample(cloud: PointCloud, k: int, start_index: int = 0) -> list[int]:
     return chosen
 
 
-def init_point_params(cfg: PointBranchConfig, params: ParamRegistry, rng,
-                      prefix: str = "point"):
+def init_point_params(cfg: PointBranchConfig, params: ParamRegistry, rng):
     cfg.validate()
     d_in = 5  # local xyz, distance to centroid, reflectance
     for i, d_out in enumerate(cfg.mlp_dims):
-        register_linear(params, rng, f"{prefix}.mlp{i}", d_in, d_out)
+        register_linear(params, rng, f"point.mlp{i}", d_in, d_out)
         d_in = d_out
     # zero-init scores: uniform attention pooling at init
-    params.register(f"{prefix}.group_score.w", np.zeros((d_in, 1)))
-    params.register(f"{prefix}.global_score.w", np.zeros((d_in, 1)))
-    register_linear(params, rng, f"{prefix}.out", d_in, cfg.out_dim)
+    params.register("point.group_score.w", np.zeros((d_in, 1)))
+    params.register("point.global_score.w", np.zeros((d_in, 1)))
+    register_linear(params, rng, "point.out", d_in, cfg.out_dim)
 
 
 def group_and_encode(cloud_cam: PointCloud, centroids: list[int],
-                     cfg: PointBranchConfig, params: ParamRegistry,
-                     mode: str = "eval", prefix: str = "point") -> Tensor:
+                     cfg: PointBranchConfig, params: ParamRegistry) -> Tensor:
     """Ball-query groups in local coordinates through a shared MLP with
     attention pooling (softmax-weighted sum, not max-pool)."""
     xyz = cloud_cam.xyz
@@ -262,9 +254,9 @@ def group_and_encode(cloud_cam: PointCloud, centroids: list[int],
     feats_in = np.concatenate([local, dist[..., None], refl_g[..., None]], axis=2)
     x = Tensor(feats_in.reshape(m * cap, 5))
     for i in range(len(cfg.mlp_dims)):
-        x = T.relu(_linear(x, params, f"{prefix}.mlp{i}"))
+        x = T.relu(_linear(x, params, f"point.mlp{i}"))
     d_out = cfg.mlp_dims[-1]
-    scores = T.matmul(x, params.get(f"{prefix}.group_score.w"))
+    scores = T.matmul(x, params.get("point.group_score.w"))
     scores = T.reshape(scores, (m, cap))
     scores = T.add(scores, Tensor(np.where(valid, 0.0, MASK_NEG)))
     # groups with no member keep a zero feature
@@ -277,10 +269,10 @@ def group_and_encode(cloud_cam: PointCloud, centroids: list[int],
 
 
 def point_forward(cloud_cam: PointCloud, cfg: PointBranchConfig,
-                  params: ParamRegistry, mode: str = "eval",
-                  rng: np.random.Generator | None = None,
-                  prefix: str = "point") -> BranchFeatures:
-    """Budget the cloud, pick centroids by FPS, encode groups, pool globally."""
+                  params: ParamRegistry,
+                  rng: np.random.Generator | None = None) -> Tensor:
+    """Budget the cloud, pick centroids by FPS, encode groups, pool globally;
+    returns the [out_dim] feature vector."""
     n = len(cloud_cam)
     if n == 0:
         raise ContractError("point_forward needs a non-empty cloud")
@@ -297,10 +289,10 @@ def point_forward(cloud_cam: PointCloud, cfg: PointBranchConfig,
         work = cloud_cam
     k = min(k, len(work))
     centroids = fps_sample(work, k)
-    grouped = group_and_encode(work, centroids, cfg, params, mode, prefix)
-    scores = T.matmul(grouped, params.get(f"{prefix}.global_score.w"))
+    grouped = group_and_encode(work, centroids, cfg, params)
+    scores = T.matmul(grouped, params.get("point.global_score.w"))
     weights = T.softmax(T.reshape(scores, (len(centroids),)))
     pooled = T.tsum(T.mul(grouped, T.reshape(weights, (len(centroids), 1))), axis=0)
-    vector = _vec_linear(pooled, params, f"{prefix}.out")
+    vector = _vec_linear(pooled, params, "point.out")
     T.assert_finite(vector, "point branch output")
-    return BranchFeatures(vector=vector, per_stage=[pooled])
+    return vector

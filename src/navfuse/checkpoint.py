@@ -2,8 +2,9 @@
 
 Layout: 8-byte magic, 4-byte LE header length, JSON header (UTF-8), then a
 single little-endian float64 payload. The header records the format version,
-a config snapshot, and the name/shape/offset of every array in the payload,
-so a reader needs nothing but this file to reconstruct the model.
+a config snapshot, and the name/shape/offset of every parameter and buffer
+array in the payload, so a reader needs nothing but this file to reconstruct
+the model. No optimizer state is stored.
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CheckpointError
-from .optim import AdamState
 from .params import ParamRegistry
 
 MAGIC = b"NAVFCKPT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -26,27 +26,13 @@ class Checkpoint:
     config: dict
     params: dict[str, np.ndarray]
     buffers: dict[str, np.ndarray] = field(default_factory=dict)
-    adam: AdamState | None = None
     epoch: int = 0
     best_val_loss: float | None = None
 
 
-def _collect(ckpt: Checkpoint) -> dict[str, np.ndarray]:
-    arrays: dict[str, np.ndarray] = {}
-    for k, v in ckpt.params.items():
-        arrays["param/" + k] = v
-    for k, v in ckpt.buffers.items():
-        arrays["buffer/" + k] = v
-    if ckpt.adam is not None:
-        for k, v in ckpt.adam.m.items():
-            arrays["adam.m/" + k] = v
-        for k, v in ckpt.adam.v.items():
-            arrays["adam.v/" + k] = v
-    return arrays
-
-
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
-    arrays = _collect(ckpt)
+    arrays = {**{"param/" + k: v for k, v in ckpt.params.items()},
+              **{"buffer/" + k: v for k, v in ckpt.buffers.items()}}
     entries = []
     offset = 0
     chunks = []
@@ -60,10 +46,6 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         "config": ckpt.config,
         "epoch": ckpt.epoch,
         "best_val_loss": ckpt.best_val_loss,
-        "adam": None if ckpt.adam is None else {
-            "beta1": ckpt.adam.beta1, "beta2": ckpt.adam.beta2,
-            "eps": ckpt.adam.eps, "t": ckpt.adam.t,
-        },
         "arrays": entries,
         "total_floats": offset,
     }
@@ -74,6 +56,10 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         fh.write(len(blob).to_bytes(4, "little"))
         fh.write(blob)
         fh.write(payload.astype("<f8").tobytes())
+
+
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -91,37 +77,40 @@ def load_checkpoint(path: str) -> Checkpoint:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: malformed header: {e}") from None
     pos += hlen
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     version = header.get("version")
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version!r} "
                               f"(reader supports {FORMAT_VERSION})")
+    missing = sorted({"arrays", "config", "epoch", "best_val_loss"} - set(header))
+    if missing:
+        raise CheckpointError(f"{path}: header lacks {', '.join(missing)}")
     total = header.get("total_floats")
-    if not isinstance(total, int) or len(raw) - pos != 8 * total:
+    if not _is_count(total) or len(raw) - pos != 8 * total:
         raise CheckpointError(f"{path}: payload has {len(raw) - pos} bytes, "
                               f"header promises {total!r} floats")
+    if not isinstance(header["arrays"], list):
+        raise CheckpointError(f"{path}: header arrays is not a list")
     payload = np.frombuffer(raw, dtype="<f8", offset=pos)
-    params: dict[str, np.ndarray] = {}
-    buffers: dict[str, np.ndarray] = {}
-    adam_m: dict[str, np.ndarray] = {}
-    adam_v: dict[str, np.ndarray] = {}
-    stores = {"param": params, "buffer": buffers, "adam.m": adam_m, "adam.v": adam_v}
+    stores: dict[str, dict[str, np.ndarray]] = {"param": {}, "buffer": {}}
     for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(_is_count(d) for d in entry["shape"])
+                and _is_count(entry.get("offset"))):
+            raise CheckpointError(f"{path}: array entry {entry!r} needs a name, "
+                                  f"a shape of counts and an integer offset")
+        name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
         n = int(np.prod(shape)) if shape else 1
-        name, offset = entry["name"], entry["offset"]
         kind, _, key = name.partition("/")
         if kind not in stores:
             raise CheckpointError(f"{path}: array {name!r} has unknown kind {kind!r}")
-        if not 0 <= offset <= total - n:
+        if offset > total - n:
             raise CheckpointError(f"{path}: array {name!r} runs past the payload")
         stores[kind][key] = payload[offset:offset + n].reshape(shape).copy()
-    adam = None
-    if header.get("adam") is not None:
-        a = header["adam"]
-        adam = AdamState(beta1=a["beta1"], beta2=a["beta2"], eps=a["eps"],
-                         t=a["t"], m=adam_m, v=adam_v)
-    return Checkpoint(config=header["config"], params=params, buffers=buffers,
-                      adam=adam, epoch=header["epoch"],
+    return Checkpoint(config=header["config"], params=stores["param"],
+                      buffers=stores["buffer"], epoch=header["epoch"],
                       best_val_loss=header["best_val_loss"])
 
 

@@ -188,8 +188,8 @@ def cmd_train(args) -> int:
             print(f"early stop: {result.stop_reason}")
 
     ckpt = Checkpoint(config=config_to_dict(cfg), params=result.best_params,
-                      buffers=result.best_buffers, adam=result.adam,
-                      epoch=result.best_epoch, best_val_loss=result.best_val_loss)
+                      buffers=result.best_buffers, epoch=result.best_epoch,
+                      best_val_loss=result.best_val_loss)
     ckpt_path = out_dir / "checkpoint.bin"
     save_checkpoint(ckpt, str(ckpt_path))
     print(f"train: best val loss {result.best_val_loss:.6f} at epoch "

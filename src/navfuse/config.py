@@ -19,7 +19,6 @@ from .simulate import SCENARIOS
 @dataclass
 class DataConfig:
     root: str = ""
-    split: str = "kitti"        # kitti sequence-number splits, or "all"
     lookahead_m: float = 5.0
     max_step: float = 5.0
     augment: bool = True
@@ -51,8 +50,6 @@ class RunConfig:
     def validate(self):
         self.pipeline.validate()
         self.train.validate()
-        if self.data.split not in ("kitti", "all"):
-            raise ConfigError(f"unknown split mode {self.data.split!r}")
         for s in self.synth.scenarios:
             if s not in SCENARIOS:
                 raise ConfigError(f"unknown scenario {s!r}")

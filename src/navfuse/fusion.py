@@ -9,8 +9,9 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, DimensionError
-from .geometry import Z_NEAR_DEFAULT, project_points
-from .kitti import CalibrationSet, Image, PointCloud
+# no caller here: perfbench/spans.py wraps project_points under this name too
+from .geometry import project_points  # noqa: F401
+from .kitti import Image
 from .params import ParamRegistry, kaiming_uniform
 from .tensor import Tensor
 
@@ -60,54 +61,49 @@ def reliability_image(image: Image, tau_img: float = TAU_IMG_DEFAULT) -> float:
     return float(np.clip(1.0 - np.exp(-v / tau_img), REL_FLOOR, 1.0))
 
 
-def reliability_cloud(cloud: PointCloud, calib: CalibrationSet, width: int, height: int,
-                      n_ref: int = N_REF_DEFAULT, z_near: float = Z_NEAR_DEFAULT) -> float:
-    """In-frustum point density relative to a reference count; the frustum
-    starts at z_near, as for the projected sparse depth."""
-    xyz_cam = cloud.xyz @ calib.Tr[:3, :3].T + calib.Tr[:3, 3]
-    _, _, _, idx = project_points(xyz_cam, calib.P, width, height, z_near)
-    return float(np.clip(len(idx) / n_ref, REL_FLOOR, 1.0))
+def reliability_cloud(n_in_frustum: int, n_ref: int = N_REF_DEFAULT) -> float:
+    """In-frustum point density relative to a reference count. The count is
+    that of the projection which also feeds the sparse depth, so the frustum
+    starts at the same z_near."""
+    return float(np.clip(n_in_frustum / n_ref, REL_FLOOR, 1.0))
 
 
-def init_fusion_params(params: ParamRegistry, rng, in_dim: int, fusion_dim: int,
-                       prefix: str = "fuse"):
+def init_fusion_params(params: ParamRegistry, rng, in_dim: int, fusion_dim: int):
     for which in ("rgb", "lidar"):
-        params.register(f"{prefix}.map_{which}.w",
+        params.register(f"fuse.map_{which}.w",
                         kaiming_uniform(rng, (in_dim, fusion_dim), fan_in=in_dim))
-        params.register(f"{prefix}.map_{which}.b", np.zeros(fusion_dim))
+        params.register(f"fuse.map_{which}.b", np.zeros(fusion_dim))
         # zero-init gate content vectors: at init the reliability prior alone
         # drives the weights, which keeps the gate monotone chain exact
-        params.register(f"{prefix}.gate_u_{which}", np.zeros(fusion_dim))
-    params.register(f"{prefix}.gate_v",
+        params.register(f"fuse.gate_u_{which}", np.zeros(fusion_dim))
+    params.register("fuse.gate_v",
                     kaiming_uniform(rng, (fusion_dim, fusion_dim), fan_in=fusion_dim))
 
 
-def semantic_map(vector: Tensor, params: ParamRegistry, which: str,
-                 prefix: str = "fuse") -> Tensor:
+def semantic_map(vector: Tensor, params: ParamRegistry, which: str) -> Tensor:
     """Affine map + tanh into the shared semantic space, one set per modality."""
     if which not in ("rgb", "lidar"):
         raise ContractError(f"unknown modality {which!r}")
-    w = params.get(f"{prefix}.map_{which}.w")
+    w = params.get(f"fuse.map_{which}.w")
     if vector.shape[0] != w.shape[0]:
         raise DimensionError(f"semantic_map input dim {vector.shape[0]} != {w.shape[0]}")
     row = T.reshape(vector, (1, vector.shape[0]))
-    out = T.add(T.matmul(row, w), params.get(f"{prefix}.map_{which}.b"))
+    out = T.add(T.matmul(row, w), params.get(f"fuse.map_{which}.b"))
     return T.reshape(T.tanh(out), (w.shape[1],))
 
 
 def fusion_weights(f_rgb: Tensor, f_lidar: Tensor, rel: ReliabilityScores,
-                   params: ParamRegistry, beta: float = 1.0,
-                   prefix: str = "fuse") -> tuple[FusionWeights, Tensor]:
+                   params: ParamRegistry, beta: float = 1.0) -> tuple[FusionWeights, Tensor]:
     """Content logit + beta * ln(reliability) per modality, softmax-normalized.
 
     The additive log-reliability term makes w_m strictly increasing in r_m
     for beta > 0. Returns the weights and the differentiable 2-vector.
     """
     rel.validate()
-    v = params.get(f"{prefix}.gate_v")
+    v = params.get("fuse.gate_v")
     logits = []
     for which, feat, r in (("rgb", f_rgb, rel.r_rgb), ("lidar", f_lidar, rel.r_lidar)):
-        u = params.get(f"{prefix}.gate_u_{which}")
+        u = params.get(f"fuse.gate_u_{which}")
         row = T.reshape(feat, (1, feat.shape[0]))
         content = T.tsum(T.mul(T.tanh(T.matmul(row, v)),
                                T.reshape(u, (1, u.shape[0]))))

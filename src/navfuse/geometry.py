@@ -14,8 +14,7 @@ DEPTH_MAX_DEFAULT = 80.0
 
 def lidar_to_camera(cloud: PointCloud, calib: CalibrationSet) -> PointCloud:
     """Apply the LiDAR->camera rigid transform; reflectance passes through."""
-    xyz = cloud.xyz @ calib.Tr[:3, :3].T + calib.Tr[:3, 3]
-    return PointCloud(points=np.column_stack([xyz, cloud.reflectance]),
+    return PointCloud(points=np.column_stack([calib.to_camera(cloud.xyz), cloud.reflectance]),
                       dropped=cloud.dropped)
 
 

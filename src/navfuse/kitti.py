@@ -1,5 +1,5 @@
 """KITTI-odometry-format ingestion: velodyne .bin, calib.txt, poses, PPM images,
-dataset assembly with derived labels, and training augmentations.
+sequence loading with derived labels, and training augmentations.
 
 Camera-frame axis convention used throughout the package: x right, y down,
 z forward; "forward, lateral" = (z, x).
@@ -13,16 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, FormatError
-
-DEFAULT_SPLITS = {
-    "train": [0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15],
-    "val": [8],
-    "test": [16, 17, 18, 19, 20],
-}
-
-FRAME_RATE_HZ = 10.0
-
+from .errors import FormatError
 
 # -- domain types ------------------------------------------------------
 
@@ -62,6 +53,14 @@ class CalibrationSet:
     P: np.ndarray   # 3x4 camera projection (pixels)
     Tr: np.ndarray  # 4x4 rigid transform, LiDAR frame -> camera frame
 
+    def to_camera(self, xyz: np.ndarray) -> np.ndarray:
+        """N x 3 LiDAR-frame points in the camera frame."""
+        return xyz @ self.Tr[:3, :3].T + self.Tr[:3, 3]
+
+    def from_camera(self, xyz: np.ndarray) -> np.ndarray:
+        """Inverse of to_camera."""
+        return (xyz - self.Tr[:3, 3]) @ self.Tr[:3, :3]
+
     def validate(self):
         if self.P.shape != (3, 4) or self.Tr.shape != (4, 4):
             raise FormatError("calibration matrices have wrong shapes")
@@ -87,7 +86,6 @@ class Frame:
     cloud: PointCloud
     calib: CalibrationSet
     pose: Pose
-    timestamp: float
 
 
 @dataclass
@@ -226,6 +224,8 @@ def load_ppm(raw: bytes) -> Image:
         width, height, maxval = int(w_tok), int(h_tok), int(maxval_tok)
     except ValueError:
         raise FormatError("non-integer PPM header field") from None
+    if width < 1 or height < 1:
+        raise FormatError(f"PPM size {width}x{height} must be at least 1x1")
     if maxval != 255:
         raise FormatError(f"unsupported PPM maxval {maxval} (only 255)")
     pos += 1  # single whitespace after maxval
@@ -292,7 +292,7 @@ def derive_labels(poses: list[Pose], lookahead_m: float = 5.0,
     return labels
 
 
-# -- dataset assembly --------------------------------------------------
+# -- sequence loading --------------------------------------------------
 
 
 def _load_sequence_frames(seq_dir: Path, pose_file: Path) -> list[Frame]:
@@ -306,10 +306,6 @@ def _load_sequence_frames(seq_dir: Path, pose_file: Path) -> list[Frame]:
     poses = parse_poses(pose_file.read_text())
     bins = sorted(velo_dir.glob("*.bin"))
     frames = []
-    times_file = seq_dir / "times.txt"
-    times = None
-    if times_file.exists():
-        times = [float(x) for x in times_file.read_text().split()]
     for i, bin_path in enumerate(bins):
         if i >= len(poses):
             break
@@ -323,24 +319,21 @@ def _load_sequence_frames(seq_dir: Path, pose_file: Path) -> list[Frame]:
             raise OSError(f"missing image for frame {stem} in {image_dir}")
         cloud = parse_velodyne_bin(bin_path.read_bytes())
         image = load_image(img_path.read_bytes(), fmt)
-        ts = times[i] if times is not None else i / FRAME_RATE_HZ
         frames.append(Frame(index=i, image=image, cloud=cloud, calib=calib,
-                            pose=poses[i], timestamp=ts))
+                            pose=poses[i]))
     return frames
 
 
-def load_sequences(root: str | os.PathLike,
-                   sequence_ids: list[int] | None = None,
-                   lookahead_m: float = 5.0,
+def load_sequences(root: str | os.PathLike, lookahead_m: float = 5.0,
                    max_step: float = 5.0) -> dict[int, list[LabeledFrame]]:
-    """Load KITTI-layout sequences into per-sequence labeled frame lists."""
+    """Load every numbered sequence of a KITTI-layout tree into per-sequence
+    labeled frame lists."""
     root = Path(root)
     seq_root = root / "sequences"
     if not seq_root.is_dir():
         raise OSError(f"missing dataset path: {seq_root}")
-    if sequence_ids is None:
-        sequence_ids = sorted(int(p.name) for p in seq_root.iterdir()
-                              if p.is_dir() and p.name.isdigit())
+    sequence_ids = sorted(int(p.name) for p in seq_root.iterdir()
+                          if p.is_dir() and p.name.isdigit())
     out: dict[int, list[LabeledFrame]] = {}
     for sid in sequence_ids:
         seq_dir = seq_root / f"{sid:02d}"
@@ -352,39 +345,7 @@ def load_sequences(root: str | os.PathLike,
     return out
 
 
-def assemble_dataset(root: str | os.PathLike, split: str,
-                     lookahead_m: float = 5.0, max_step: float = 5.0,
-                     splits: dict[str, list[int]] | None = None) -> list[LabeledFrame]:
-    """Flattened labeled frames for one split of a KITTI-layout tree.
-
-    Only sequences present on disk are loaded, so desk-scale fixtures need
-    not ship all 21 sequences.
-    """
-    splits = splits or DEFAULT_SPLITS
-    if split not in splits:
-        raise ContractError(f"unknown split {split!r}")
-    root = Path(root)
-    seq_root = root / "sequences"
-    if not seq_root.is_dir():
-        raise OSError(f"missing dataset path: {seq_root}")
-    present = {int(p.name) for p in seq_root.iterdir() if p.is_dir() and p.name.isdigit()}
-    wanted = [sid for sid in splits[split] if sid in present]
-    seqs = load_sequences(root, wanted, lookahead_m, max_step)
-    flat: list[LabeledFrame] = []
-    for sid in wanted:
-        flat.extend(seqs[sid])
-    return flat
-
-
 # -- augmentation ------------------------------------------------------
-
-
-def _cloud_to_camera(points: np.ndarray, tr: np.ndarray) -> np.ndarray:
-    return points @ tr[:3, :3].T + tr[:3, 3]
-
-
-def _cloud_from_camera(points: np.ndarray, tr: np.ndarray) -> np.ndarray:
-    return (points - tr[:3, 3]) @ tr[:3, :3]
 
 
 def augment_frame(lf: LabeledFrame, rng: np.random.Generator,
@@ -398,7 +359,7 @@ def augment_frame(lf: LabeledFrame, rng: np.random.Generator,
     """
     frame = lf.frame
     pixels = frame.image.pixels
-    cam_pts = _cloud_to_camera(frame.cloud.xyz, frame.calib.Tr)
+    cam_pts = frame.calib.to_camera(frame.cloud.xyz)
     waypoint = lf.waypoint.copy()
     ego_delta = lf.ego_delta.copy()
 
@@ -431,9 +392,7 @@ def augment_frame(lf: LabeledFrame, rng: np.random.Generator,
 
     waypoint = np.clip(waypoint, -max_step, max_step)
     ego_delta = np.clip(ego_delta, -max_step, max_step)
-    pts = np.column_stack([_cloud_from_camera(cam_pts, frame.calib.Tr),
-                           frame.cloud.reflectance])
+    pts = np.column_stack([frame.calib.from_camera(cam_pts), frame.cloud.reflectance])
     new_frame = Frame(index=frame.index, image=Image(pixels=np.ascontiguousarray(pixels)),
-                      cloud=PointCloud(points=pts), calib=frame.calib, pose=frame.pose,
-                      timestamp=frame.timestamp)
+                      cloud=PointCloud(points=pts), calib=frame.calib, pose=frame.pose)
     return LabeledFrame(frame=new_frame, waypoint=waypoint, ego_delta=ego_delta)

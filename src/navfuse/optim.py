@@ -38,11 +38,13 @@ class TrainConfig:
         return self
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -59,7 +61,7 @@ def adam_step(params: ParamRegistry, state: AdamState, lr: float,
             raise ContractError(f"parameter {path!r} has no gradient")
     state.t += 1
     t = state.t
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     for path, p in params.items():
@@ -77,7 +79,7 @@ def adam_step(params: ParamRegistry, state: AdamState, lr: float,
         v += (1.0 - b2) * (g * g)
         mhat = m / bc1
         vhat = v / bc2
-        p.data -= lr * mhat / (np.sqrt(vhat) + state.eps)
+        p.data -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
         p.grad = None
 
 

@@ -40,9 +40,6 @@ class ParamRegistry:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def paths(self) -> list[str]:
-        return list(self._entries)
-
     def items(self):
         return self._entries.items()
 

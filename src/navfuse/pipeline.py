@@ -13,8 +13,8 @@ import numpy as np
 from . import fusion as F
 from . import geometry as G
 from . import temporal as TM
-from .backbones import (BranchFeatures, PointBranchConfig, RgbBranchConfig,
-                        init_point_params, init_rgb_params, point_forward, rgb_forward)
+from .backbones import (PointBranchConfig, RgbBranchConfig, init_point_params,
+                        init_rgb_params, point_forward, rgb_forward)
 from .errors import ConfigError
 from .kitti import Frame, LabeledFrame
 from .params import ParamRegistry, make_rng
@@ -111,7 +111,8 @@ def pipeline_step(frame: Frame, state: TM.TemporalState, model: ModelState,
 
         t0 = time.perf_counter() if timings is not None else 0.0
         cam_cloud = G.lidar_to_camera(frame.cloud, frame.calib)
-        u, v, depth, _ = G.project_points(cam_cloud.xyz, frame.calib.P, w, h, cfg.z_near)
+        u, v, depth, in_frustum = G.project_points(cam_cloud.xyz, frame.calib.P, w, h,
+                                                   cfg.z_near)
         sparse_depth = G.render_sparse_depth_arrays(u, v, depth, w, h, cell=1,
                                                    depth_max=cfg.depth_max)
 
@@ -124,13 +125,13 @@ def pipeline_step(frame: Frame, state: TM.TemporalState, model: ModelState,
                                    mode=mode, use_attention=cfg.use_attention)
         else:
             r_rgb = F.REL_FLOOR
-            rgb_feat = BranchFeatures(vector=Tensor(np.zeros(cfg.rgb.out_dim)))
+            rgb_feat = Tensor(np.zeros(cfg.rgb.out_dim))
         if use_lidar:
-            r_lidar = F.reliability_cloud(frame.cloud, frame.calib, w, h, cfg.n_ref, cfg.z_near)
-            pt_feat = point_forward(cam_cloud, cfg.point, params, mode=mode, rng=rng)
+            r_lidar = F.reliability_cloud(len(in_frustum), cfg.n_ref)
+            pt_feat = point_forward(cam_cloud, cfg.point, params, rng=rng)
         else:
             r_lidar = F.REL_FLOOR
-            pt_feat = BranchFeatures(vector=Tensor(np.zeros(cfg.point.out_dim)))
+            pt_feat = Tensor(np.zeros(cfg.point.out_dim))
 
         if timings is not None:
             t1 = time.perf_counter()
@@ -138,8 +139,8 @@ def pipeline_step(frame: Frame, state: TM.TemporalState, model: ModelState,
             t0 = t1
 
         rel = F.ReliabilityScores(r_rgb=r_rgb, r_lidar=r_lidar)
-        f_rgb = F.semantic_map(rgb_feat.vector, params, "rgb")
-        f_lidar = F.semantic_map(pt_feat.vector, params, "lidar")
+        f_rgb = F.semantic_map(rgb_feat, params, "rgb")
+        f_lidar = F.semantic_map(pt_feat, params, "lidar")
         _, w_t = F.fusion_weights(f_rgb, f_lidar, rel, params, cfg.beta)
         fused = F.fuse(f_rgb, f_lidar, w_t, rel)
 

@@ -210,7 +210,7 @@ def synth_sequence(world: World, frames: int, cam: CameraConfig, lidar: LidarCon
     for t in range(frames - 1):
         frame = Frame(index=t, image=render_frame(world, t, cam),
                       cloud=scan_frame(world, t, cam, lidar), calib=calib,
-                      pose=poses[t], timestamp=t / 10.0)
+                      pose=poses[t])
         w, d = labels[t]
         out.append(LabeledFrame(frame=frame, waypoint=w, ego_delta=d))
     return out
@@ -265,7 +265,7 @@ def apply_degradation(lf: LabeledFrame, spec: DegradationSpec,
     f = lf.frame
     frame = Frame(index=f.index, image=degrade_image(f.image, spec, rng),
                   cloud=degrade_cloud(f.cloud, spec, rng), calib=f.calib,
-                  pose=f.pose, timestamp=f.timestamp)
+                  pose=f.pose)
     return LabeledFrame(frame=frame, waypoint=lf.waypoint, ego_delta=lf.ego_delta)
 
 

@@ -42,45 +42,45 @@ def temporal_delta(fused_t: Tensor, prev: Tensor | None) -> Tensor:
 
 
 def init_recurrent_params(params: ParamRegistry, rng, x_dim: int, hidden_dim: int,
-                          cell: str = "gru", prefix: str = "rnn"):
+                          cell: str = "gru"):
     gates = ("z", "r", "h") if cell == "gru" else ("i", "f", "o", "g")
     if cell not in ("gru", "lstm"):
         raise ConfigError(f"unknown recurrent cell {cell!r}")
     for gate in gates:
-        params.register(f"{prefix}.w_{gate}", kaiming_uniform(rng, (x_dim, hidden_dim), fan_in=x_dim))
-        params.register(f"{prefix}.u_{gate}",
+        params.register(f"rnn.w_{gate}", kaiming_uniform(rng, (x_dim, hidden_dim), fan_in=x_dim))
+        params.register(f"rnn.u_{gate}",
                         kaiming_uniform(rng, (hidden_dim, hidden_dim), fan_in=hidden_dim))
-        params.register(f"{prefix}.b_{gate}", np.zeros(hidden_dim))
+        params.register(f"rnn.b_{gate}", np.zeros(hidden_dim))
 
 
-def _gate(x_row: Tensor, h_row: Tensor, params: ParamRegistry, prefix: str, gate: str) -> Tensor:
-    return T.add(T.add(T.matmul(x_row, params.get(f"{prefix}.w_{gate}")),
-                       T.matmul(h_row, params.get(f"{prefix}.u_{gate}"))),
-                 params.get(f"{prefix}.b_{gate}"))
+def _gate(x_row: Tensor, h_row: Tensor, params: ParamRegistry, gate: str) -> Tensor:
+    return T.add(T.add(T.matmul(x_row, params.get(f"rnn.w_{gate}")),
+                       T.matmul(h_row, params.get(f"rnn.u_{gate}"))),
+                 params.get(f"rnn.b_{gate}"))
 
 
 def recurrent_step(x: Tensor, h: Tensor, params: ParamRegistry,
-                   cell: str = "gru", prefix: str = "rnn") -> Tensor:
+                   cell: str = "gru") -> Tensor:
     """One recurrent update. GRU state is the hidden vector; the LSTM variant
     packs (h, c) into a single vector of twice the hidden size."""
     xr = T.reshape(x, (1, x.shape[0]))
     if cell == "gru":
         hr = T.reshape(h, (1, h.shape[0]))
-        z = T.sigmoid(_gate(xr, hr, params, prefix, "z"))
-        r = T.sigmoid(_gate(xr, hr, params, prefix, "r"))
-        cand = T.tanh(T.add(T.add(T.matmul(xr, params.get(f"{prefix}.w_h")),
-                                  T.matmul(T.mul(r, hr), params.get(f"{prefix}.u_h"))),
-                            params.get(f"{prefix}.b_h")))
+        z = T.sigmoid(_gate(xr, hr, params, "z"))
+        r = T.sigmoid(_gate(xr, hr, params, "r"))
+        cand = T.tanh(T.add(T.add(T.matmul(xr, params.get("rnn.w_h")),
+                                  T.matmul(T.mul(r, hr), params.get("rnn.u_h"))),
+                            params.get("rnn.b_h")))
         out = T.add(T.mul(T.add(Tensor(np.ones(1)), T.mul(z, -1.0)), hr), T.mul(z, cand))
         return T.reshape(out, (h.shape[0],))
     if cell == "lstm":
         n = h.shape[0] // 2
         hr = T.reshape(h[:n], (1, n))
         cr = T.reshape(h[n:], (1, n))
-        i = T.sigmoid(_gate(xr, hr, params, prefix, "i"))
-        f = T.sigmoid(_gate(xr, hr, params, prefix, "f"))
-        o = T.sigmoid(_gate(xr, hr, params, prefix, "o"))
-        g = T.tanh(_gate(xr, hr, params, prefix, "g"))
+        i = T.sigmoid(_gate(xr, hr, params, "i"))
+        f = T.sigmoid(_gate(xr, hr, params, "f"))
+        o = T.sigmoid(_gate(xr, hr, params, "o"))
+        g = T.tanh(_gate(xr, hr, params, "g"))
         c_new = T.add(T.mul(f, cr), T.mul(i, g))
         h_new = T.mul(o, T.tanh(c_new))
         return T.reshape(T.concat([h_new, c_new], axis=1), (2 * n,))
@@ -88,52 +88,50 @@ def recurrent_step(x: Tensor, h: Tensor, params: ParamRegistry,
 
 
 def init_temporal_attention_params(params: ParamRegistry, rng, hidden_dim: int,
-                                   fusion_dim: int, prefix: str = "tattn"):
-    params.register(f"{prefix}.q", kaiming_uniform(rng, (hidden_dim, hidden_dim), fan_in=hidden_dim))
-    params.register(f"{prefix}.k", kaiming_uniform(rng, (fusion_dim, hidden_dim), fan_in=fusion_dim))
-    params.register(f"{prefix}.v", kaiming_uniform(rng, (fusion_dim, fusion_dim), fan_in=fusion_dim))
+                                   fusion_dim: int):
+    params.register("tattn.q", kaiming_uniform(rng, (hidden_dim, hidden_dim), fan_in=hidden_dim))
+    params.register("tattn.k", kaiming_uniform(rng, (fusion_dim, hidden_dim), fan_in=fusion_dim))
+    params.register("tattn.v", kaiming_uniform(rng, (fusion_dim, fusion_dim), fan_in=fusion_dim))
 
 
-def temporal_attention(h: Tensor, window: list[Tensor], params: ParamRegistry,
-                       prefix: str = "tattn") -> Tensor:
+def temporal_attention(h: Tensor, window: list[Tensor], params: ParamRegistry) -> Tensor:
     """Scaled dot-product attention of the hidden state over the fused-feature window."""
     if not window:
         raise ContractError("temporal_attention needs a non-empty window")
-    att_dim = params.get(f"{prefix}.q").shape[1]
-    q = T.matmul(T.reshape(h, (1, h.shape[0])), params.get(f"{prefix}.q"))
+    att_dim = params.get("tattn.q").shape[1]
+    q = T.matmul(T.reshape(h, (1, h.shape[0])), params.get("tattn.q"))
     stacked = T.concat([T.reshape(w, (1, w.shape[0])) for w in window], axis=0)
-    keys = T.matmul(stacked, params.get(f"{prefix}.k"))
-    values = T.matmul(stacked, params.get(f"{prefix}.v"))
+    keys = T.matmul(stacked, params.get("tattn.k"))
+    values = T.matmul(stacked, params.get("tattn.v"))
     scores = T.mul(T.matmul(q, keys.T), 1.0 / np.sqrt(att_dim))
     alpha = T.softmax(scores, axis=-1)
     out = T.matmul(alpha, values)
     return T.reshape(out, (values.shape[1],))
 
 
-def init_decision_params(params: ParamRegistry, rng, in_dim: int, hidden: int,
-                         prefix: str = "head"):
-    register_linear(params, rng, f"{prefix}.fc1", in_dim, hidden)
+def init_decision_params(params: ParamRegistry, rng, in_dim: int, hidden: int):
+    register_linear(params, rng, "head.fc1", in_dim, hidden)
     # zero-init output layer: predictions start at the origin
-    register_linear(params, rng, f"{prefix}.fc2", hidden, 5, zero_weight=True)
+    register_linear(params, rng, "head.fc2", hidden, 5, zero_weight=True)
 
 
 def decision_forward(h: Tensor, context: Tensor, fused_t: Tensor,
                      params: ParamRegistry, mode: str = "eval",
                      rng: np.random.Generator | None = None,
-                     dropout_rate: float = 0.1, max_step: float = 5.0,
-                     prefix: str = "head") -> tuple[NavOutput, Tensor]:
+                     dropout_rate: float = 0.1,
+                     max_step: float = 5.0) -> tuple[NavOutput, Tensor]:
     """Two-layer MLP over (hidden, attention context, direct fused feature);
     outputs squashed into (-max_step, max_step)."""
     x = T.concat([h, context, fused_t], axis=0)
     xr = T.reshape(x, (1, x.shape[0]))
-    hid = T.relu(T.add(T.matmul(xr, params.get(f"{prefix}.fc1.w")),
-                       params.get(f"{prefix}.fc1.b")))
+    hid = T.relu(T.add(T.matmul(xr, params.get("head.fc1.w")),
+                       params.get("head.fc1.b")))
     training = mode == "train"
     if training:
         if rng is None:
             raise ContractError("train-mode decision_forward needs an rng")
         hid = T.dropout(hid, dropout_rate, rng, training=True)
-    out = T.add(T.matmul(hid, params.get(f"{prefix}.fc2.w")), params.get(f"{prefix}.fc2.b"))
+    out = T.add(T.matmul(hid, params.get("head.fc2.w")), params.get("head.fc2.b"))
     out = T.mul(T.tanh(out), max_step)
     out = T.reshape(out, (5,))
     nav = NavOutput(waypoint=out.data[:2].copy(), ego_delta=out.data[2:].copy())

@@ -47,9 +47,6 @@ class Tensor:
 
     # -- grad plumbing -------------------------------------------------
 
-    def zero_grad(self):
-        self.grad = None
-
     def _accumulate(self, g: np.ndarray):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)

@@ -41,7 +41,6 @@ class TrainResult:
     best_val_loss: float = float("inf")
     best_params: dict | None = None
     best_buffers: dict | None = None
-    adam: AdamState | None = None
     stopped_early: bool = False
     stop_reason: str = ""
 
@@ -113,7 +112,8 @@ def train(model: ModelState, train_seqs: list[list[LabeledFrame]],
 
     n_batches = max(1, (len(train_chunks) + tcfg.batch_size - 1) // tcfg.batch_size)
     total_steps = max(1, max_epochs * n_batches)
-    result = TrainResult(adam=AdamState())
+    result = TrainResult()
+    adam = AdamState()
     history: list[float] = []
     step = 0
 
@@ -149,7 +149,7 @@ def train(model: ModelState, train_seqs: list[list[LabeledFrame]],
             step += 1
             lr = schedule_lr(step, tcfg.warmup_steps, total_steps,
                              tcfg.lr_init, tcfg.lr_min)
-            adam_step(model.params, result.adam, lr, tcfg.weight_decay)
+            adam_step(model.params, adam, lr, tcfg.weight_decay)
 
         val = validation_loss(model, val_chunks) if val_chunks else float(np.mean(epoch_losses))
         history.append(val)

@@ -56,6 +56,12 @@ def test_criterion_1_gradient_integrity():
 # -- 2: simplex and monotone gating ------------------------------------
 
 
+def _in_frustum(cloud, calib, cam):
+    """The in-frustum count that pipeline_step passes to reliability_cloud."""
+    return len(project_points(lidar_to_camera(cloud, calib).xyz, calib.P,
+                              cam.width, cam.height)[3])
+
+
 def test_criterion_2_simplex_and_monotone_gating():
     ok = True
     # 1000 random configurations: weights on the simplex to 1e-12 and
@@ -101,15 +107,15 @@ def test_criterion_2_simplex_and_monotone_gating():
         f_rgb = semantic_map(Tensor(rng.normal(size=8)), params, "rgb")
         f_lidar = semantic_map(Tensor(rng.normal(size=8)), params, "lidar")
         r_img = reliability_image(img, tau)
-        r_cloud = reliability_cloud(cloud, calib, cam.width, cam.height)
+        r_cloud = reliability_cloud(_in_frustum(cloud, calib, cam))
         base, _ = fusion_weights(f_rgb, f_lidar,
                                  ReliabilityScores(r_img, r_cloud), params)
         r_dark = reliability_image(degrade_image(img, dark_spec, rng), tau)
         w_dark, _ = fusion_weights(f_rgb, f_lidar,
                                    ReliabilityScores(r_dark, r_cloud), params)
         ok &= r_dark < r_img and w_dark.w_rgb < base.w_rgb
-        r_thin = reliability_cloud(degrade_cloud(cloud, thin_spec, rng),
-                                   calib, cam.width, cam.height)
+        r_thin = reliability_cloud(_in_frustum(degrade_cloud(cloud, thin_spec, rng),
+                                               calib, cam))
         w_thin, _ = fusion_weights(f_rgb, f_lidar,
                                    ReliabilityScores(r_img, r_thin), params)
         ok &= r_thin < r_cloud and w_thin.w_lidar < base.w_lidar

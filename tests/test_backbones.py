@@ -91,7 +91,7 @@ def test_rgb_zero_input_zero_output():
     img = Image(pixels=np.zeros((16, 16, 3), dtype=np.uint8))
     depth = Tensor(np.zeros((1, 16, 16)))
     out = rgb_forward(img, depth, cfg, params, buffers)
-    np.testing.assert_allclose(out.vector.data, 0.0, atol=1e-12)
+    np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
 
 def test_rgb_output_shape_default_cfg():
@@ -100,8 +100,7 @@ def test_rgb_output_shape_default_cfg():
     buffers = init_rgb_params(cfg, params, make_rng(0))
     img = Image(pixels=make_rng(1).integers(0, 256, (64, 64, 3), dtype=np.uint8))
     out = rgb_forward(img, Tensor(np.zeros((1, 64, 64))), cfg, params, buffers)
-    assert out.vector.shape == (64,)
-    assert len(out.per_stage) == 3
+    assert out.shape == (64,)
 
 
 def test_rgb_dimension_mismatch():
@@ -122,7 +121,7 @@ def test_rgb_grad_check_16x16():
 
     def f():
         out = rgb_forward(img, depth, cfg, params, buffers, mode="eval")
-        return T.tsum(T.tanh(out.vector))
+        return T.tsum(T.tanh(out))
 
     rep = grad_check(f, params, h=1e-6, tol=1e-4, entries_per_param=3, rng=make_rng(3))
     assert rep.passed, rep.max_rel_err
@@ -163,7 +162,7 @@ def test_dynamic_count_empty_cloud():
 
 
 def test_fps_line_example():
-    idx = fps_sample(_cloud([[0, 0, 0], [5, 0, 0], [10, 0, 0]]), 2, start_index=0)
+    idx = fps_sample(_cloud([[0, 0, 0], [5, 0, 0], [10, 0, 0]]), 2)
     assert idx == [0, 2]
 
 
@@ -255,7 +254,7 @@ def test_point_forward_shape_contract():
     for n in (1, 5, 64, 100):
         cloud = _cloud(make_rng(n).normal(size=(n, 3)))
         out = point_forward(cloud, cfg, params, rng=make_rng(0))
-        assert out.vector.shape == (cfg.out_dim,)
+        assert out.shape == (cfg.out_dim,)
 
 
 def test_point_forward_empty_cloud():
@@ -292,8 +291,8 @@ def test_point_forward_grad_check():
     cloud = _cloud(make_rng(1).normal(size=(64, 3)))
 
     def f():
-        out = point_forward(cloud, cfg, params, mode="eval", rng=make_rng(0))
-        return T.tsum(T.tanh(out.vector))
+        out = point_forward(cloud, cfg, params, rng=make_rng(0))
+        return T.tsum(T.tanh(out))
 
     rep = grad_check(f, params, h=1e-6, tol=1e-4, entries_per_param=4, rng=make_rng(2))
     assert rep.passed, rep.max_rel_err
@@ -305,4 +304,4 @@ def test_forward_paths_finite():
     init_point_params(cfg, params, make_rng(7))
     cloud = _cloud(make_rng(8).normal(scale=10, size=(50, 3)))
     out = point_forward(cloud, cfg, params, rng=make_rng(0))
-    assert np.all(np.isfinite(out.vector.data))
+    assert np.all(np.isfinite(out.data))

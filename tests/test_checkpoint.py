@@ -9,7 +9,6 @@ from navfuse.checkpoint import (FORMAT_VERSION, MAGIC, Checkpoint, load_checkpoi
                                 restore_model, save_checkpoint)
 from navfuse.cli import main
 from navfuse.errors import CheckpointError
-from navfuse.optim import AdamState
 from navfuse.params import make_rng
 from navfuse.pipeline import init_pipeline
 from navfuse.verify import small_pipeline_config
@@ -20,10 +19,8 @@ def _fixture_ckpt(seed=0):
     params = {"a.w": rng.normal(size=(3, 4)), "a.b": rng.normal(size=4),
               "scalar": np.array(2.5)}
     buffers = {"bn.mean": rng.normal(size=4)}
-    adam = AdamState(t=7, m={k: rng.normal(size=v.shape) for k, v in params.items()},
-                     v={k: np.abs(rng.normal(size=v.shape)) for k, v in params.items()})
     return Checkpoint(config={"seed": seed}, params=params, buffers=buffers,
-                      adam=adam, epoch=3, best_val_loss=0.125)
+                      epoch=3, best_val_loss=0.125)
 
 
 def test_round_trip_bitwise(tmp_path):
@@ -37,10 +34,6 @@ def test_round_trip_bitwise(tmp_path):
         np.testing.assert_array_equal(back.params[k], v)
     for k, v in ckpt.buffers.items():
         np.testing.assert_array_equal(back.buffers[k], v)
-    assert back.adam.t == 7
-    for k in ckpt.adam.m:
-        np.testing.assert_array_equal(back.adam.m[k], ckpt.adam.m[k])
-        np.testing.assert_array_equal(back.adam.v[k], ckpt.adam.v[k])
 
 
 def test_save_is_deterministic(tmp_path):
@@ -51,11 +44,14 @@ def test_save_is_deterministic(tmp_path):
 
 
 def test_no_adam_state(tmp_path):
-    path = str(tmp_path / "ck.bin")
-    ckpt = _fixture_ckpt()
-    ckpt.adam = None
-    save_checkpoint(ckpt, path)
-    assert load_checkpoint(path).adam is None
+    # the payload holds the parameters and buffers and nothing else
+    path = tmp_path / "ck.bin"
+    save_checkpoint(_fixture_ckpt(), str(path))
+    header = _read_header(path.read_bytes())
+    assert "adam" not in header
+    assert sorted(e["name"] for e in header["arrays"]) == [
+        "buffer/bn.mean", "param/a.b", "param/a.w", "param/scalar"]
+    assert header["total_floats"] == 4 + 4 + 12 + 1
 
 
 def test_bad_magic(tmp_path):
@@ -88,6 +84,11 @@ def test_unsupported_version(tmp_path):
         load_checkpoint(str(path))
 
 
+def _read_header(raw):
+    start = len(MAGIC) + 4
+    return json.loads(raw[start:start + int.from_bytes(raw[len(MAGIC):start], "little")])
+
+
 def _drop_total_floats(header):
     del header["total_floats"]
 
@@ -100,17 +101,50 @@ def _past_payload(header):
     header["arrays"][0]["offset"] = header["total_floats"] - 1  # a 3x4 array
 
 
+def _not_an_object(header):
+    return []
+
+
+def _version_1(header):
+    # a checkpoint of the format that carried Adam state
+    header["version"] = 1
+
+
+def _drop(key):
+    def edit(header):
+        del header[key]
+    edit.__name__ = f"_drop_{key}"
+    return edit
+
+
+def _shapeless_array(header):
+    del header["arrays"][0]["shape"]
+
+
+def _float_offset(header):
+    header["arrays"][0]["offset"] = 0.5
+
+
 @pytest.mark.parametrize("edit, match", [(_drop_total_floats, "promises None"),
                                          (_unknown_kind, "unknown kind"),
-                                         (_past_payload, "past the payload")])
+                                         (_past_payload, "past the payload"),
+                                         (_not_an_object, "not a JSON object"),
+                                         (_version_1, "version 1"),
+                                         (_drop("arrays"), "lacks arrays"),
+                                         (_drop("config"), "lacks config"),
+                                         (_drop("epoch"), "lacks epoch"),
+                                         (_drop("best_val_loss"), "lacks best_val_loss"),
+                                         (_shapeless_array, "needs a name, a shape"),
+                                         (_float_offset, "integer offset")])
 def test_malformed_header_is_checkpoint_error(tmp_path, edit, match):
     path = tmp_path / "ck.bin"
     save_checkpoint(_fixture_ckpt(), str(path))
     raw = path.read_bytes()
     start = len(MAGIC) + 4
     end = start + int.from_bytes(raw[len(MAGIC):start], "little")
-    header = json.loads(raw[start:end])
-    edit(header)
+    header = _read_header(raw)
+    edited = edit(header)
+    header = header if edited is None else edited
     blob = json.dumps(header).encode()
     path.write_bytes(MAGIC + len(blob).to_bytes(4, "little") + blob + raw[end:])
     with pytest.raises(CheckpointError, match=match):

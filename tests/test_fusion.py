@@ -10,6 +10,7 @@ from navfuse.errors import ContractError, DimensionError
 from navfuse.fusion import (REL_FLOOR, FusionWeights, ReliabilityScores, fuse,
                             fusion_weights, init_fusion_params, laplacian_variance,
                             reliability_cloud, reliability_image, semantic_map)
+from navfuse.geometry import lidar_to_camera, project_points
 from navfuse.gradcheck import grad_check
 from navfuse.kitti import CalibrationSet, Image, PointCloud
 from navfuse.params import ParamRegistry, make_rng
@@ -25,6 +26,11 @@ def _params(in_dim=8, fusion_dim=8, seed=0):
 def _calib(f=100.0, c=50.0):
     p = np.array([[f, 0, c, 0], [0, f, c, 0], [0, 0, 1, 0]], dtype=float)
     return CalibrationSet(P=p, Tr=np.eye(4))
+
+
+def _in_frustum(cloud, calib, width, height):
+    """The in-frustum count that pipeline_step passes to reliability_cloud."""
+    return len(project_points(lidar_to_camera(cloud, calib).xyz, calib.P, width, height)[3])
 
 
 # -- reliability -------------------------------------------------------
@@ -60,21 +66,15 @@ def test_reliability_image_contrast_scaling_monotone():
 
 def test_reliability_cloud_empty():
     cloud = PointCloud(points=np.zeros((0, 4)))
-    assert reliability_cloud(cloud, _calib(), 100, 100) == REL_FLOOR
+    assert reliability_cloud(_in_frustum(cloud, _calib(), 100, 100)) == REL_FLOOR
 
 
 def test_reliability_cloud_saturation():
     n = 1024
     pts = np.zeros((n, 4))
     pts[:, 2] = np.linspace(5, 50, n)  # all on the optical axis, in frustum
-    assert reliability_cloud(PointCloud(points=pts), _calib(), 100, 100, n_ref=1024) == 1.0
-
-
-def test_reliability_cloud_z_near():
-    # 0.5 m lies beyond the default 0.1 m near plane but before a 1 m one
-    cloud = PointCloud(points=np.array([[0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 10.0, 0.5]]))
-    assert reliability_cloud(cloud, _calib(), 100, 100, n_ref=2) == 1.0
-    assert reliability_cloud(cloud, _calib(), 100, 100, n_ref=2, z_near=1.0) == 0.5
+    n_in = _in_frustum(PointCloud(points=pts), _calib(), 100, 100)
+    assert reliability_cloud(n_in, n_ref=1024) == 1.0
 
 
 def test_reliability_cloud_dropout_expectation():
@@ -86,7 +86,7 @@ def test_reliability_cloud_dropout_expectation():
     p = 0.5
     n_ref = 1024
     trials = [reliability_cloud(
-        PointCloud(points=pts[rng.random(n) >= p]), _calib(), 100, 100, n_ref)
+        _in_frustum(PointCloud(points=pts[rng.random(n) >= p]), _calib(), 100, 100), n_ref)
         for _ in range(100)]
     expect = n * (1 - p) / n_ref
     sigma = np.sqrt(n * p * (1 - p)) / n_ref

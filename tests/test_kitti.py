@@ -1,13 +1,15 @@
-"""KITTI-format parsing, label derivation, dataset assembly, augmentation."""
+"""KITTI-format parsing, label derivation, augmentation."""
 
+import io
 import struct
+import sys
 
 import numpy as np
 import pytest
 
 from navfuse.errors import FormatError
 from navfuse.kitti import (AugmentPolicy, CalibrationSet, Frame, Image, LabeledFrame,
-                           PointCloud, Pose, assemble_dataset, augment_frame,
+                           PointCloud, Pose, augment_frame,
                            derive_labels, load_image, load_ppm, parse_calib,
                            parse_poses, parse_velodyne_bin, save_ppm,
                            serialize_calib, serialize_poses, serialize_velodyne_bin)
@@ -176,6 +178,26 @@ def test_ppm_roundtrip_bit_exact():
     assert save_ppm(load_ppm(raw)) == raw
 
 
+@pytest.mark.parametrize("size", [b"-2 3", b"0 3", b"3 0"])
+def test_ppm_size_below_one(size):
+    with pytest.raises(FormatError, match="at least 1x1"):
+        load_ppm(b"P6\n" + size + b"\n255\n" + b"\x00" * 27)
+
+
+def test_png_roundtrip():
+    pil_image = pytest.importorskip("PIL.Image")
+    pixels = make_rng(3).integers(0, 256, size=(6, 8, 3), dtype=np.uint8)
+    buf = io.BytesIO()
+    pil_image.fromarray(pixels).save(buf, format="PNG")
+    np.testing.assert_array_equal(load_image(buf.getvalue(), fmt="png").pixels, pixels)
+
+
+def test_png_without_pillow_is_format_error(monkeypatch):
+    monkeypatch.setitem(sys.modules, "PIL", None)
+    with pytest.raises(FormatError, match="Pillow"):
+        load_image(b"\x89PNG\r\n\x1a\n", fmt="png")
+
+
 def test_load_image_unknown_format():
     with pytest.raises(FormatError):
         load_image(b"", fmt="bmp")
@@ -241,53 +263,6 @@ def test_labels_reintegrate_to_pose_translations():
         np.testing.assert_allclose(cur, poses[t + 1].T[:3, 3], atol=1e-9)
 
 
-# -- assembly ----------------------------------------------------------
-
-
-def _write_fixture_tree(root, sids, n_frames=4):
-    rng = make_rng(7)
-    for sid in sids:
-        seq = root / "sequences" / f"{sid:02d}"
-        (seq / "velodyne").mkdir(parents=True)
-        (seq / "image_2").mkdir()
-        (root / "poses").mkdir(exist_ok=True)
-        (seq / "calib.txt").write_text(CALIB_MIN)
-        for t in range(n_frames):
-            pts = rng.normal(size=(20, 4)).astype(np.float32).astype(np.float64)
-            pts[:, 3] = np.clip(pts[:, 3], 0, 1)
-            (seq / "velodyne" / f"{t:06d}.bin").write_bytes(
-                serialize_velodyne_bin(PointCloud(points=pts)))
-            img = Image(pixels=rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8))
-            (seq / "image_2" / f"{t:06d}.ppm").write_bytes(save_ppm(img))
-        (root / "poses" / f"{sid:02d}.txt").write_text(
-            serialize_poses(_straight_poses(n_frames)))
-
-
-def test_assemble_val_split_only_sequence_08(tmp_path):
-    _write_fixture_tree(tmp_path, [0, 8])
-    val = assemble_dataset(tmp_path, "val")
-    train = assemble_dataset(tmp_path, "train")
-    assert len(val) == 3 and len(train) == 3
-    assert all(lf.frame.index < 3 for lf in val)
-
-
-def test_assemble_missing_root(tmp_path):
-    with pytest.raises(OSError, match="sequences"):
-        assemble_dataset(tmp_path / "nope", "train")
-
-
-def test_assemble_split_partition():
-    from navfuse.kitti import DEFAULT_SPLITS
-    all_ids = sum(DEFAULT_SPLITS.values(), [])
-    assert len(all_ids) == len(set(all_ids))
-
-
-def test_assemble_synthesizes_timestamps(tmp_path):
-    _write_fixture_tree(tmp_path, [0])
-    frames = assemble_dataset(tmp_path, "train")
-    assert [lf.frame.timestamp for lf in frames] == [0.0, 0.1, 0.2]
-
-
 # -- augmentation ------------------------------------------------------
 
 
@@ -298,7 +273,7 @@ def _labeled_fixture():
     frame = Frame(index=0,
                   image=Image(pixels=rng.integers(0, 256, (8, 8, 3), dtype=np.uint8)),
                   cloud=PointCloud(points=pts), calib=parse_calib(CALIB_MIN),
-                  pose=Pose(T=np.eye(4)), timestamp=0.0)
+                  pose=Pose(T=np.eye(4)))
     return LabeledFrame(frame=frame, waypoint=np.array([4.0, 1.0]),
                         ego_delta=np.array([0.1, 0.0, 0.5]))
 

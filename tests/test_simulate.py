@@ -6,7 +6,7 @@ import pytest
 from navfuse.errors import ConfigError
 from navfuse.fusion import init_fusion_params, fusion_weights, semantic_map, \
     reliability_cloud, reliability_image, ReliabilityScores
-from navfuse.geometry import project_points
+from navfuse.geometry import lidar_to_camera, project_points
 from navfuse.kitti import CalibrationSet, Image, PointCloud
 from navfuse.params import ParamRegistry, make_rng
 from navfuse.simulate import (SCENARIOS, Box, CameraConfig, DegradationSpec,
@@ -14,6 +14,11 @@ from navfuse.simulate import (SCENARIOS, Box, CameraConfig, DegradationSpec,
                               degrade_image, make_trajectory, preset_scenario,
                               render_frame, scan_frame, synth_sequence)
 from navfuse.tensor import Tensor
+
+
+def _in_frustum(cloud, calib, width, height):
+    """The in-frustum count that pipeline_step passes to reliability_cloud."""
+    return len(project_points(lidar_to_camera(cloud, calib).xyz, calib.P, width, height)[3])
 
 
 def _default_setup(frames=5, yaw=0.0):
@@ -138,8 +143,8 @@ def test_degrade_cloud_lowers_density_reliability():
     cloud = scan_frame(world, 0, cam, lidar)
     calib = CalibrationSet(P=cam.projection(), Tr=lidar.transform())
     degraded = degrade_cloud(cloud, DegradationSpec(cloud_dropout=0.5), make_rng(6))
-    assert (reliability_cloud(degraded, calib, 64, 64)
-            < reliability_cloud(cloud, calib, 64, 64))
+    assert (reliability_cloud(_in_frustum(degraded, calib, 64, 64))
+            < reliability_cloud(_in_frustum(cloud, calib, 64, 64)))
 
 
 def test_degradation_spec_validation():
@@ -186,8 +191,8 @@ def test_lidar_degraded_lowers_cloud_reliability():
     cloud = scan_frame(world, 0, cam, lidar)
     calib = CalibrationSet(P=cam.projection(), Tr=lidar.transform())
     degraded = degrade_cloud(cloud, spec, make_rng(8))
-    assert (reliability_cloud(degraded, calib, 64, 64)
-            < reliability_cloud(cloud, calib, 64, 64))
+    assert (reliability_cloud(_in_frustum(degraded, calib, 64, 64))
+            < reliability_cloud(_in_frustum(cloud, calib, 64, 64)))
 
 
 def test_scenario_list():
@@ -212,7 +217,7 @@ def test_degradation_lowers_fusion_weight():
     f_lidar = semantic_map(feats[1], params, "lidar")
 
     r_img = reliability_image(img, tau)
-    r_cloud = reliability_cloud(cloud, calib, 64, 64)
+    r_cloud = reliability_cloud(_in_frustum(cloud, calib, 64, 64))
     base, _ = fusion_weights(f_rgb, f_lidar, ReliabilityScores(r_img, r_cloud), params)
 
     _, low_light = preset_scenario("low_light")
@@ -222,8 +227,8 @@ def test_degradation_lowers_fusion_weight():
     assert w.w_rgb < base.w_rgb
 
     _, lidar_bad = preset_scenario("lidar_degraded")
-    r_thin = reliability_cloud(degrade_cloud(cloud, lidar_bad, make_rng(4)),
-                               calib, 64, 64)
+    r_thin = reliability_cloud(_in_frustum(degrade_cloud(cloud, lidar_bad, make_rng(4)),
+                                           calib, 64, 64))
     assert r_thin < r_cloud
     w, _ = fusion_weights(f_rgb, f_lidar, ReliabilityScores(r_img, r_thin), params)
     assert w.w_lidar < base.w_lidar

@@ -8,8 +8,11 @@ from navfuse.errors import ContractError, DimensionError
 from navfuse.gradcheck import grad_check
 from navfuse.optim import AdamState, adam_step
 from navfuse.params import ParamRegistry, make_rng
-from navfuse.fusion import reliability_cloud
-from navfuse.pipeline import init_pipeline, initial_state, pipeline_step, rollout
+from navfuse.fusion import REL_FLOOR
+from navfuse.geometry import Z_NEAR_DEFAULT, project_points
+from navfuse.pipeline import (PipelineConfig, init_pipeline, initial_state, pipeline_step,
+                              rollout)
+from navfuse.simulate import CameraConfig, LidarConfig, preset_scenario, synth_sequence
 from navfuse.temporal import (TemporalState, decision_forward, init_decision_params,
                               init_recurrent_params, init_temporal_attention_params,
                               nav_loss, recurrent_step, temporal_attention,
@@ -298,16 +301,41 @@ def test_pipeline_lstm_cell_variant():
     assert np.all(np.isfinite(res.nav.waypoint))
 
 
+def _reliability_cloud_oracle(cloud, calib, width, height, n_ref, z_near=Z_NEAR_DEFAULT):
+    """reliability_cloud as it was before pipeline_step passed it its
+    in-frustum count: the cloud's own transform and projection."""
+    xyz_cam = cloud.xyz @ calib.Tr[:3, :3].T + calib.Tr[:3, 3]
+    _, _, _, idx = project_points(xyz_cam, calib.P, width, height, z_near)
+    return float(np.clip(len(idx) / n_ref, REL_FLOOR, 1.0))
+
+
+def _desk_frame(lidar):
+    world, _ = preset_scenario("standard", frames=2)
+    return synth_sequence(world, 2, CameraConfig(), lidar, rng=make_rng(0))[0].frame
+
+
 def test_pipeline_reliability_cloud_honours_z_near():
-    cfg = small_pipeline_config()
-    cfg.z_near = 4.0  # behind the nearest synthetic surface at 3.4 m
-    model = init_pipeline(cfg, seed=0)
-    frame = small_synth_frames(3, seed=0)[0].frame
-    w, h = frame.image.width, frame.image.height
-    res = pipeline_step(frame, initial_state(cfg), model, rng=make_rng(0))
-    r_lidar = res.fused.reliabilities.r_lidar
-    assert r_lidar == reliability_cloud(frame.cloud, frame.calib, w, h, cfg.n_ref, 4.0)
-    assert r_lidar < reliability_cloud(frame.cloud, frame.calib, w, h, cfg.n_ref)
+    # r_lidar counts the projection that feeds the sparse depth; it must equal
+    # the oracle's separate projection bitwise
+    desk = (PipelineConfig(), _desk_frame(LidarConfig()))
+    dense_cfg = PipelineConfig(n_ref=8192)  # keeps the dense score below saturation
+    dense = (dense_cfg, _desk_frame(LidarConfig(n_azimuth=256, n_elevation=32)))
+    assert len(dense[1].cloud) > dense_cfg.point.input_budget
+    near_cfg = small_pipeline_config()
+    near_cfg.z_near = 4.0  # behind the nearest synthetic surface at 3.4 m
+    near = (near_cfg, small_synth_frames(3, seed=0)[0].frame)
+    r_lidar = {}
+    for name, (cfg, frame) in (("desk", desk), ("dense", dense), ("near", near)):
+        w, h = frame.image.width, frame.image.height
+        res = pipeline_step(frame, initial_state(cfg), init_pipeline(cfg, seed=0),
+                            rng=make_rng(0))
+        r_lidar[name] = res.fused.reliabilities.r_lidar
+        assert REL_FLOOR < r_lidar[name] < 1.0
+        assert r_lidar[name] == _reliability_cloud_oracle(frame.cloud, frame.calib, w, h,
+                                                          cfg.n_ref, cfg.z_near)
+    frame = near[1]
+    assert r_lidar["near"] < _reliability_cloud_oracle(
+        frame.cloud, frame.calib, frame.image.width, frame.image.height, near_cfg.n_ref)
 
 
 def test_pipeline_hidden_bounded():
