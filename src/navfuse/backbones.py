@@ -28,6 +28,8 @@ class RgbBranchConfig:
     def validate(self):
         if len(self.stage_channels) != len(self.strides):
             raise ConfigError("stage_channels and strides must have equal length")
+        if any(s < 1 for s in self.strides):
+            raise ConfigError("strides must be >= 1")
         if self.attn_dim % self.attn_heads != 0:
             raise ConfigError("attn_dim must be divisible by attn_heads")
         return self
@@ -126,9 +128,6 @@ def rgb_forward(image: Image, sparse_depth: Tensor, cfg: RgbBranchConfig,
     """Residual conv stages + token self-attention + learned multi-scale mixing;
     returns the [out_dim] feature vector."""
     h, w = image.height, image.width
-    stride_prod = int(np.prod(cfg.strides))
-    if h % stride_prod or w % stride_prod:
-        raise DimensionError(f"image dims {h}x{w} not divisible by stride product {stride_prod}")
     if sparse_depth.shape != (1, h, w):
         raise DimensionError(f"sparse depth shape {sparse_depth.shape} != (1, {h}, {w})")
     training = mode == "train"
@@ -137,12 +136,9 @@ def rgb_forward(image: Image, sparse_depth: Tensor, cfg: RgbBranchConfig,
     stage_summaries = []
     for i, (c_out, stride) in enumerate(zip(cfg.stage_channels, cfg.strides)):
         pre = f"rgb.stage{i}"
-        # stride-1 same-pad conv then subsampling == floor-mode strided conv,
-        # which keeps even input sizes workable with odd kernels
-        sub = (slice(None), slice(None, None, stride), slice(None, None, stride))
-        conv = T.conv2d(x, params.get(pre + ".conv.w"), stride=1, pad=1)[sub]
+        conv = T.conv2d(x, params.get(pre + ".conv.w"), stride=stride, pad=1)
         conv = T.add(conv, T.reshape(params.get(pre + ".conv.b"), (c_out, 1, 1)))
-        short = T.conv2d(x, params.get(pre + ".short.w"), stride=1, pad=0)[sub]
+        short = T.conv2d(x, params.get(pre + ".short.w"), stride=stride, pad=0)
         c, hh, ww = conv.shape
         flat = T.transpose(T.reshape(conv, (c, hh * ww)))  # (H'W') x C
         normed = T.batch_norm(flat, params.get(pre + ".bn.gamma"), params.get(pre + ".bn.beta"),

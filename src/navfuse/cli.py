@@ -80,7 +80,7 @@ def _load_tagged_dataset(cfg: RunConfig) -> list[tuple[str, list]]:
     if not cfg.data.root:
         raise ConfigError("data.root is not set; point it at a dataset tree")
     seqs = load_sequences(root, lookahead_m=cfg.data.lookahead_m,
-                          max_step=cfg.data.max_step)
+                          max_step=cfg.pipeline.max_step)
     manifest_path = root / "manifest.yaml"
     tags = {}
     if manifest_path.exists():
@@ -127,9 +127,9 @@ def cmd_synth(args) -> int:
             (seq_dir / "image_2").mkdir(parents=True, exist_ok=True)
             (out_root / "poses").mkdir(parents=True, exist_ok=True)
 
-            labeled = S.synth_sequence(world, sc.frames, cam, lidar, rng=rng,
+            labeled = S.synth_sequence(world, sc.frames, cam, lidar,
                                        lookahead_m=cfg.data.lookahead_m,
-                                       max_step=cfg.data.max_step)
+                                       max_step=cfg.pipeline.max_step)
             # the final trajectory pose has no label but its frame is still
             # written, so a reader re-derives exactly the same label set
             last_image = S.render_frame(world, sc.frames - 1, cam)
@@ -281,8 +281,7 @@ def cmd_bench(args) -> int:
                                  speed=sc.speed, yaw_rate_deg=sc.yaw_rate_deg)
     cam = S.CameraConfig(width=sc.width, height=sc.height, focal=sc.focal)
     lidar = S.LidarConfig(n_azimuth=sc.n_azimuth, n_elevation=sc.n_elevation)
-    labeled = S.synth_sequence(world, max(sc.frames, 12), cam, lidar,
-                               rng=make_rng(cfg.seed))
+    labeled = S.synth_sequence(world, max(sc.frames, 12), cam, lidar)
 
     # one stream whose state carries over from the warm-up into the measured
     # frames, so state that grows from frame to frame shows in the timing

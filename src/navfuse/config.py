@@ -20,7 +20,6 @@ from .simulate import SCENARIOS
 class DataConfig:
     root: str = ""
     lookahead_m: float = 5.0
-    max_step: float = 5.0
     augment: bool = True
     na_threshold: float = 0.5
 
@@ -53,9 +52,6 @@ class RunConfig:
         for s in self.synth.scenarios:
             if s not in SCENARIOS:
                 raise ConfigError(f"unknown scenario {s!r}")
-        # single source of truth for values shared across modules
-        self.pipeline.dropout_rate = self.train.dropout_rate
-        self.pipeline.max_step = self.data.max_step
         return self
 
 
@@ -70,13 +66,33 @@ def _from_dict(cls, data: dict, path: str = ""):
     for name, value in data.items():
         f = fields[name]
         sub = f"{path}.{name}" if path else name
-        if dataclasses.is_dataclass(f.type) or (isinstance(f.type, str)
-                                                and f.type in _NESTED):
-            kwargs[name] = _from_dict(_NESTED[f.type if isinstance(f.type, str) else f.type.__name__],
-                                      value, sub)
+        # every config module uses postponed annotations: f.type is a string
+        if f.type in _NESTED:
+            kwargs[name] = _from_dict(_NESTED[f.type], value, sub)
         else:
-            kwargs[name] = value
+            kwargs[name] = _checked(value, f.type, sub)
     return cls(**kwargs)
+
+
+_SCALAR_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
+
+
+def _is_a(value, type_name: str) -> bool:
+    # bool subclasses int, but `true` is no count or size
+    return (isinstance(value, _SCALAR_TYPES[type_name])
+            and (type_name == "bool" or not isinstance(value, bool)))
+
+
+def _checked(value, type_name: str, path: str):
+    """value itself if it has the field's declared type (an int passes as a
+    float); ConfigError otherwise."""
+    if type_name.startswith("list["):
+        ok = isinstance(value, list) and all(_is_a(v, type_name[5:-1]) for v in value)
+    else:
+        ok = _is_a(value, type_name)
+    if not ok:
+        raise ConfigError(f"{path}: expected {type_name}, got {value!r}")
+    return value
 
 
 _NESTED = {

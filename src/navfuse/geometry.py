@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
 from .kitti import CalibrationSet, PointCloud
 from .tensor import Tensor
 
@@ -40,20 +39,16 @@ def project_points(xyz_cam: np.ndarray, P: np.ndarray, width: int, height: int,
 
 
 def render_sparse_depth_arrays(u: np.ndarray, v: np.ndarray, depth: np.ndarray,
-                               width: int, height: int, cell: int = 1,
+                               width: int, height: int,
                                depth_max: float = DEPTH_MAX_DEFAULT) -> Tensor:
-    """Min-depth z-buffer of projected points rasterized onto an
-    (H/cell) x (W/cell) grid.
+    """Min-depth z-buffer of projected points rasterized onto the H x W pixel grid.
 
-    Empty cells hold 0; occupied cells hold min depth / depth_max, clamped
+    Empty pixels hold 0; occupied pixels hold min depth / depth_max, clamped
     to [0, 1].
     """
-    if cell <= 0 or width % cell or height % cell:
-        raise ConfigError(f"cell {cell} must divide width {width} and height {height}")
-    hh, ww = height // cell, width // cell
-    grid = np.full(hh * ww, np.inf)
+    grid = np.full(height * width, np.inf)
     if len(u):
-        flat = (v.astype(int) // cell) * ww + (u.astype(int) // cell)
+        flat = v.astype(int) * width + u.astype(int)
         np.minimum.at(grid, flat, depth)
     grid[~np.isfinite(grid)] = 0.0
-    return Tensor(np.clip(grid / depth_max, 0.0, 1.0).reshape(1, hh, ww))
+    return Tensor(np.clip(grid / depth_max, 0.0, 1.0).reshape(1, height, width))

@@ -173,7 +173,12 @@ def parse_poses(text: str) -> list[Pose]:
         fields = line.split()
         if len(fields) != 12:
             raise FormatError(f"pose line {lineno}: expected 12 floats, got {len(fields)}")
-        mat = np.array([float(v) for v in fields], dtype=np.float64).reshape(3, 4)
+        try:
+            mat = np.array([float(v) for v in fields], dtype=np.float64).reshape(3, 4)
+        except ValueError as e:
+            raise FormatError(f"pose line {lineno}: {e}") from None
+        if not np.all(np.isfinite(mat)):
+            raise FormatError(f"pose line {lineno}: non-finite value")
         t = np.vstack([mat, [0.0, 0.0, 0.0, 1.0]])
         r = t[:3, :3]
         defect = float(np.abs(r @ r.T - np.eye(3)).max())

@@ -21,7 +21,6 @@ class TrainConfig:
     clip_norm: float = 10.0
     patience: int = 10
     weight_decay: float = 0.0001
-    dropout_rate: float = 0.1
     seed: int = 0
 
     def validate(self):
@@ -33,8 +32,6 @@ class TrainConfig:
             raise ConfigError("clip_norm must be > 0")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
-        if not (0.0 <= self.dropout_rate < 1.0):
-            raise ConfigError("dropout_rate must be in [0, 1)")
         return self
 
 

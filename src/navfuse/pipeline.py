@@ -36,7 +36,6 @@ class PipelineConfig:
     z_near: float = G.Z_NEAR_DEFAULT
     depth_max: float = G.DEPTH_MAX_DEFAULT
     dropout_rate: float = 0.1
-    cell: str = "gru"
     use_attention: bool = True
     use_temporal: bool = True
     modality: str = "both"  # rgb | lidar | both
@@ -48,13 +47,9 @@ class PipelineConfig:
             raise ConfigError(f"unknown modality {self.modality!r}")
         if self.beta < 0:
             raise ConfigError("beta must be >= 0")
-        if self.cell not in ("gru", "lstm"):
-            raise ConfigError(f"unknown recurrent cell {self.cell!r}")
+        if not (0.0 <= self.dropout_rate < 1.0):
+            raise ConfigError("dropout_rate must be in [0, 1)")
         return self
-
-    @property
-    def state_dim(self) -> int:
-        return self.hidden_dim if self.cell == "gru" else 2 * self.hidden_dim
 
 
 @dataclass
@@ -72,7 +67,7 @@ def init_pipeline(cfg: PipelineConfig, seed: int = 0) -> ModelState:
     buffers = init_rgb_params(cfg.rgb, params, rng)
     init_point_params(cfg.point, params, rng)
     F.init_fusion_params(params, rng, cfg.rgb.out_dim, cfg.fusion_dim)
-    TM.init_recurrent_params(params, rng, 2 * cfg.fusion_dim, cfg.hidden_dim, cfg.cell)
+    TM.init_recurrent_params(params, rng, 2 * cfg.fusion_dim, cfg.hidden_dim)
     TM.init_temporal_attention_params(params, rng, cfg.hidden_dim, cfg.fusion_dim)
     TM.init_decision_params(params, rng, cfg.hidden_dim + 2 * cfg.fusion_dim, cfg.hidden_dim)
     return ModelState(params=params, buffers=buffers, cfg=cfg)
@@ -87,7 +82,7 @@ class StepResult:
 
 
 def initial_state(cfg: PipelineConfig) -> TM.TemporalState:
-    return TM.TemporalState.initial(cfg.state_dim)
+    return TM.TemporalState.initial(cfg.hidden_dim)
 
 
 def pipeline_step(frame: Frame, state: TM.TemporalState, model: ModelState,
@@ -113,7 +108,7 @@ def pipeline_step(frame: Frame, state: TM.TemporalState, model: ModelState,
         cam_cloud = G.lidar_to_camera(frame.cloud, frame.calib)
         u, v, depth, in_frustum = G.project_points(cam_cloud.xyz, frame.calib.P, w, h,
                                                    cfg.z_near)
-        sparse_depth = G.render_sparse_depth_arrays(u, v, depth, w, h, cell=1,
+        sparse_depth = G.render_sparse_depth_arrays(u, v, depth, w, h,
                                                    depth_max=cfg.depth_max)
 
         use_rgb = cfg.modality in ("rgb", "both")
@@ -151,18 +146,16 @@ def pipeline_step(frame: Frame, state: TM.TemporalState, model: ModelState,
 
         if cfg.use_temporal:
             delta = TM.temporal_delta(fused.vector, state.prev_fused)
-            hidden = TM.recurrent_step(delta, state.hidden, params, cfg.cell)
+            hidden = TM.recurrent_step(delta, state.hidden, params)
             window = (state.window + [fused.vector])[-cfg.window:]
         else:
-            hidden = Tensor(np.zeros(cfg.state_dim))
+            hidden = Tensor(np.zeros(cfg.hidden_dim))
             window = []
-        # an LSTM state stacks (h, c); attention and the decision head read h
-        h_out = hidden if cfg.cell == "gru" else hidden[:cfg.hidden_dim]
-        context = (TM.temporal_attention(h_out, window, params) if cfg.use_temporal
+        context = (TM.temporal_attention(hidden, window, params) if cfg.use_temporal
                    else Tensor(np.zeros(cfg.fusion_dim)))
 
         nav, out5 = TM.decision_forward(
-            h_out, context, fused.vector, params, mode=mode, rng=rng,
+            hidden, context, fused.vector, params, mode=mode, rng=rng,
             dropout_rate=cfg.dropout_rate, max_step=cfg.max_step)
 
         loss = None

@@ -194,7 +194,6 @@ def scan_frame(world: World, t: int, cam: CameraConfig, lidar: LidarConfig) -> P
 
 
 def synth_sequence(world: World, frames: int, cam: CameraConfig, lidar: LidarConfig,
-                   rng: np.random.Generator | None = None,
                    lookahead_m: float = 5.0, max_step: float = 5.0) -> list[LabeledFrame]:
     """Generate a labeled synthetic sequence (undegraded)."""
     if frames < 2:

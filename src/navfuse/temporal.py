@@ -1,4 +1,4 @@
-"""Temporal modeling (frame-delta extractor, recurrent cell, attention over a
+"""Temporal modeling (frame-delta extractor, GRU cell, attention over a
 feature window) and the navigation decision head."""
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ContractError, DimensionError
 from .params import ParamRegistry, kaiming_uniform, register_linear
 from .tensor import Tensor
 
@@ -41,12 +41,8 @@ def temporal_delta(fused_t: Tensor, prev: Tensor | None) -> Tensor:
     return T.concat([fused_t, delta], axis=0)
 
 
-def init_recurrent_params(params: ParamRegistry, rng, x_dim: int, hidden_dim: int,
-                          cell: str = "gru"):
-    gates = ("z", "r", "h") if cell == "gru" else ("i", "f", "o", "g")
-    if cell not in ("gru", "lstm"):
-        raise ConfigError(f"unknown recurrent cell {cell!r}")
-    for gate in gates:
+def init_recurrent_params(params: ParamRegistry, rng, x_dim: int, hidden_dim: int):
+    for gate in ("z", "r", "h"):
         params.register(f"rnn.w_{gate}", kaiming_uniform(rng, (x_dim, hidden_dim), fan_in=x_dim))
         params.register(f"rnn.u_{gate}",
                         kaiming_uniform(rng, (hidden_dim, hidden_dim), fan_in=hidden_dim))
@@ -59,32 +55,17 @@ def _gate(x_row: Tensor, h_row: Tensor, params: ParamRegistry, gate: str) -> Ten
                  params.get(f"rnn.b_{gate}"))
 
 
-def recurrent_step(x: Tensor, h: Tensor, params: ParamRegistry,
-                   cell: str = "gru") -> Tensor:
-    """One recurrent update. GRU state is the hidden vector; the LSTM variant
-    packs (h, c) into a single vector of twice the hidden size."""
+def recurrent_step(x: Tensor, h: Tensor, params: ParamRegistry) -> Tensor:
+    """One GRU update of the hidden vector h from the input x."""
     xr = T.reshape(x, (1, x.shape[0]))
-    if cell == "gru":
-        hr = T.reshape(h, (1, h.shape[0]))
-        z = T.sigmoid(_gate(xr, hr, params, "z"))
-        r = T.sigmoid(_gate(xr, hr, params, "r"))
-        cand = T.tanh(T.add(T.add(T.matmul(xr, params.get("rnn.w_h")),
-                                  T.matmul(T.mul(r, hr), params.get("rnn.u_h"))),
-                            params.get("rnn.b_h")))
-        out = T.add(T.mul(T.add(Tensor(np.ones(1)), T.mul(z, -1.0)), hr), T.mul(z, cand))
-        return T.reshape(out, (h.shape[0],))
-    if cell == "lstm":
-        n = h.shape[0] // 2
-        hr = T.reshape(h[:n], (1, n))
-        cr = T.reshape(h[n:], (1, n))
-        i = T.sigmoid(_gate(xr, hr, params, "i"))
-        f = T.sigmoid(_gate(xr, hr, params, "f"))
-        o = T.sigmoid(_gate(xr, hr, params, "o"))
-        g = T.tanh(_gate(xr, hr, params, "g"))
-        c_new = T.add(T.mul(f, cr), T.mul(i, g))
-        h_new = T.mul(o, T.tanh(c_new))
-        return T.reshape(T.concat([h_new, c_new], axis=1), (2 * n,))
-    raise ConfigError(f"unknown recurrent cell {cell!r}")
+    hr = T.reshape(h, (1, h.shape[0]))
+    z = T.sigmoid(_gate(xr, hr, params, "z"))
+    r = T.sigmoid(_gate(xr, hr, params, "r"))
+    cand = T.tanh(T.add(T.add(T.matmul(xr, params.get("rnn.w_h")),
+                              T.matmul(T.mul(r, hr), params.get("rnn.u_h"))),
+                        params.get("rnn.b_h")))
+    out = T.add(T.mul(T.add(Tensor(np.ones(1)), T.mul(z, -1.0)), hr), T.mul(z, cand))
+    return T.reshape(out, (h.shape[0],))
 
 
 def init_temporal_attention_params(params: ParamRegistry, rng, hidden_dim: int,
@@ -130,7 +111,7 @@ def decision_forward(h: Tensor, context: Tensor, fused_t: Tensor,
     if training:
         if rng is None:
             raise ContractError("train-mode decision_forward needs an rng")
-        hid = T.dropout(hid, dropout_rate, rng, training=True)
+        hid = T.dropout(hid, dropout_rate, rng)
     out = T.add(T.matmul(hid, params.get("head.fc2.w")), params.get("head.fc2.b"))
     out = T.mul(T.tanh(out), max_step)
     out = T.reshape(out, (5,))

@@ -393,13 +393,14 @@ def _col2im(cols: np.ndarray, c: int, h: int, w: int, k: int, stride: int, pad: 
     for ki in range(k):
         for kj in range(k):
             x[:, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += cols[:, ki, kj]
-    if pad:
-        x = x[:, pad:-pad, pad:-pad]
-    return x
+    # floor mode leaves the last rows/columns unread when (h + 2*pad - k) is
+    # not a multiple of stride; they get zero gradient
+    return x[:, pad:pad + h, pad:pad + w]
 
 
 def conv2d(x, kernels, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation of a C x H x W input with F x C x k x k kernels."""
+    """Cross-correlation of a C x H x W input with F x C x k x k kernels;
+    floor mode: output is (H + 2*pad - k) // stride + 1 rows, likewise columns."""
     x, kernels = _wrap(x), _wrap(kernels)
     if x.data.ndim != 3 or kernels.data.ndim != 4:
         raise DimensionError("conv2d expects CxHxW input and FxCxkxk kernels")
@@ -410,9 +411,6 @@ def conv2d(x, kernels, stride: int = 1, pad: int = 0) -> Tensor:
     if kh != kw or kh % 2 == 0:
         raise DimensionError("conv2d requires odd square kernels")
     k = kh
-    if (h + 2 * pad - k) % stride != 0 or (w + 2 * pad - k) % stride != 0:
-        raise DimensionError(
-            f"non-integral conv output for input {h}x{w}, k={k}, stride={stride}, pad={pad}")
     cols, ho, wo = _im2col(x.data, k, stride, pad)
     w2d = kernels.data.reshape(f, c * k * k)
     out = Tensor((w2d @ cols).reshape(f, ho, wo))
@@ -470,14 +468,15 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
     return out
 
 
-def dropout(x, rate: float, rng, training: bool) -> Tensor:
-    """Inverted dropout; mask drawn from the caller's PRNG and reused in backward."""
+def dropout(x, rate: float, rng) -> Tensor:
+    """Inverted (train-mode) dropout; mask drawn from the caller's PRNG and
+    reused in backward."""
     from .errors import ConfigError
 
     if not (0.0 <= rate < 1.0):
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     x = _wrap(x)
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return x
     mask = (rng.random(x.data.shape) >= rate).astype(np.float64) / (1.0 - rate)
     out = Tensor(x.data * mask)

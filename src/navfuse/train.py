@@ -72,7 +72,7 @@ def sequence_loss(chunk: list[LabeledFrame], model: ModelState, mode: str,
     total = None
     for lf in chunk:
         if augment is not None:
-            lf = augment_frame(lf, rng, augment)
+            lf = augment_frame(lf, rng, augment, max_step=model.cfg.max_step)
         res = pipeline_step(lf.frame, state, model, mode=mode, rng=rng, label=lf)
         state = res.state
         total = res.loss if total is None else total + res.loss

@@ -214,7 +214,7 @@ def _overfit_frames():
                   trajectory=make_trajectory(33, speed=0.5, yaw_rate_deg=1.0))
     cam = CameraConfig(width=16, height=16, focal=16.0)
     lidar = LidarConfig(n_azimuth=16, n_elevation=8)
-    return synth_sequence(world, 33, cam, lidar, rng=make_rng(0), lookahead_m=2.0)
+    return synth_sequence(world, 33, cam, lidar, lookahead_m=2.0)
 
 
 def _overfit_run(frames):
@@ -298,7 +298,7 @@ def _strip_fps(metrics_dict):
 
 
 def test_criterion_8_determinism(tmp_path):
-    frames = small_synth_frames(9, seed=0)
+    frames = small_synth_frames(9)
     cfg = small_pipeline_config()
 
     def run():
@@ -340,7 +340,7 @@ def test_criterion_9_scenario_report():
     dataset = []
     for name in SCENARIOS:
         world, spec = preset_scenario(name, frames=10)
-        seq = synth_sequence(world, 10, cam, lidar, rng=rng)
+        seq = synth_sequence(world, 10, cam, lidar)
         if not spec.is_neutral():
             seq = [apply_degradation(lf, spec, rng) for lf in seq]
         dataset.append((name, seq))

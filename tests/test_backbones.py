@@ -109,7 +109,20 @@ def test_rgb_dimension_mismatch():
     buffers = init_rgb_params(cfg, params, make_rng(0))
     img = Image(pixels=np.zeros((18, 16, 3), dtype=np.uint8))
     with pytest.raises(DimensionError):
-        rgb_forward(img, Tensor(np.zeros((1, 18, 16))), cfg, params, buffers)
+        rgb_forward(img, Tensor(np.zeros((1, 16, 16))), cfg, params, buffers)
+
+
+@pytest.mark.parametrize("h, w", [(18, 16), (47, 155)])
+def test_rgb_any_frame_size(h, w):
+    # floor-mode strided convs: no size needs to divide the stride product 8;
+    # 47 x 155 is the KITTI frame at 1/8 scale
+    cfg = RgbBranchConfig()
+    params = ParamRegistry()
+    buffers = init_rgb_params(cfg, params, make_rng(0))
+    img = Image(pixels=make_rng(1).integers(0, 256, (h, w, 3), dtype=np.uint8))
+    for mode in ("train", "eval"):
+        out = rgb_forward(img, Tensor(np.zeros((1, h, w))), cfg, params, buffers, mode=mode)
+        assert out.shape == (64,) and np.all(np.isfinite(out.data))
 
 
 def test_rgb_grad_check_16x16():

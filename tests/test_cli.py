@@ -206,6 +206,23 @@ def test_missing_dataset_root_is_usage_error(tmp_path):
     assert main(["train", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("text", ["train: {batch_size: abc}\n", "train: {lr_init: fast}\n",
+                                  "pipeline: {rgb: {strides: 3}}\n",
+                                  "synth: {scenarios: 3}\n",
+                                  "data: {max_step: 3.0}\n"])
+def test_bad_config_value_is_usage_error(tmp_path, text):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text)
+    assert main(["train", "--config", str(cfg)]) == 2
+
+
+def test_non_numeric_pose_is_io_error(tmp_path):
+    cfg, data = _write_cfg(tmp_path)
+    assert main(["synth", "--config", str(cfg)]) == 0
+    (data / "poses" / "01.txt").write_text("a " * 12 + "\n")
+    assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 3
+
+
 def test_unknown_command_is_usage_error():
     assert main(["frobnicate"]) == 2
 

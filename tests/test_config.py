@@ -14,7 +14,7 @@ def test_defaults_carry_training_recipe():
     assert cfg.train.clip_norm == 10.0
     assert cfg.train.patience == 10
     assert cfg.train.weight_decay == 0.0001
-    assert cfg.train.dropout_rate == 0.1
+    assert cfg.pipeline.dropout_rate == 0.1
 
 
 def test_yaml_round_trip_idempotent():
@@ -59,6 +59,38 @@ def test_invalid_values_rejected():
 
 
 def test_shared_values_propagate():
-    cfg = load_config("train:\n  dropout_rate: 0.25\ndata:\n  max_step: 3.0\n")
-    assert cfg.pipeline.dropout_rate == 0.25
+    # max_step and dropout_rate are set under pipeline only; the data and
+    # train keys that used to overwrite them are unknown keys now
+    cfg = load_config("pipeline:\n  max_step: 3.0\n  dropout_rate: 0.4\n")
     assert cfg.pipeline.max_step == 3.0
+    assert cfg.pipeline.dropout_rate == 0.4
+    for text in ("data:\n  max_step: 3.0\n", "train:\n  dropout_rate: 0.25\n"):
+        with pytest.raises(ConfigError, match="unknown"):
+            load_config(text)
+    with pytest.raises(ConfigError, match="dropout_rate"):
+        load_config("pipeline:\n  dropout_rate: 1.0\n")
+
+
+@pytest.mark.parametrize("text, path", [
+    ("train: {batch_size: abc}", "train.batch_size"),
+    ("train: {lr_init: fast}", "train.lr_init"),
+    ("train: {batch_size: true}", "train.batch_size"),
+    ("train: {batch_size: 2.5}", "train.batch_size"),
+    ("pipeline: {rgb: {strides: 3}}", "pipeline.rgb.strides"),
+    ("pipeline: {rgb: {strides: [2, x]}}", "pipeline.rgb.strides"),
+    ("synth: {scenarios: 3}", "synth.scenarios"),
+    ("data: {augment: 1}", "data.augment"),
+    ("seed: null", "seed"),
+])
+def test_wrong_value_type_rejected(text, path):
+    with pytest.raises(ConfigError, match=path):
+        load_config(text)
+
+
+def test_int_accepted_for_float():
+    assert load_config("pipeline: {beta: 2}").pipeline.beta == 2
+
+
+def test_zero_stride_rejected():
+    with pytest.raises(ConfigError, match="strides"):
+        load_config("pipeline: {rgb: {strides: [2, 0, 2]}}")

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from navfuse.errors import ConfigError
 from navfuse.geometry import (DEPTH_MAX_DEFAULT, lidar_to_camera, project_points,
                               render_sparse_depth_arrays)
 from navfuse.kitti import CalibrationSet, PointCloud
@@ -32,14 +31,13 @@ def _render(pixels, width, height, **kw):
     return render_sparse_depth_arrays(u, v, d, width, height, **kw)
 
 
-def _render_loop(pixels, width, height, cell=1, depth_max=DEPTH_MAX_DEFAULT):
-    """Reference rasterizer, one point at a time: the per-cell minimum depth
-    over depth_max, clamped to [0, 1]; empty cells hold 0."""
-    hh, ww = height // cell, width // cell
-    grid = np.full((hh, ww), np.inf)
+def _render_loop(pixels, width, height, depth_max=DEPTH_MAX_DEFAULT):
+    """Reference rasterizer, one point at a time: the per-pixel minimum depth
+    over depth_max, clamped to [0, 1]; empty pixels hold 0."""
+    grid = np.full((height, width), np.inf)
     for u, v, depth in pixels:
-        i, j = int(v) // cell, int(u) // cell
-        if 0 <= i < hh and 0 <= j < ww and depth < grid[i, j]:
+        i, j = int(v), int(u)
+        if 0 <= i < height and 0 <= j < width and depth < grid[i, j]:
             grid[i, j] = depth
     grid[~np.isfinite(grid)] = 0.0
     return np.clip(grid / depth_max, 0.0, 1.0)[None, :, :]
@@ -109,34 +107,29 @@ def test_project_empty_cloud():
 
 
 def test_render_empty_all_zero():
-    t = _render([], 8, 8, cell=1)
+    t = _render([], 8, 8)
     assert t.shape == (1, 8, 8)
     assert np.all(t.data == 0.0)
 
 
 def test_render_single_point_value():
-    t = _render([(50.0, 50.0, 10.0)], 100, 100, cell=1, depth_max=80.0)
+    t = _render([(50.0, 50.0, 10.0)], 100, 100, depth_max=80.0)
     assert t.data[0, 50, 50] == 0.125
     assert np.count_nonzero(t.data) == 1
 
 
 def test_render_min_rule():
-    t = _render([(3.0, 3.0, 10.0), (3.0, 3.0, 5.0)], 8, 8, cell=1, depth_max=80.0)
+    t = _render([(3.0, 3.0, 10.0), (3.0, 3.0, 5.0)], 8, 8, depth_max=80.0)
     assert t.data[0, 3, 3] == 5.0 / 80.0
-
-
-def test_render_cell_must_divide():
-    with pytest.raises(ConfigError):
-        _render([], 10, 10, cell=3)
 
 
 def test_render_range_and_monotone_under_removal():
     rng = make_rng(1)
     pix = [(float(rng.uniform(0, 8)), float(rng.uniform(0, 8)), float(rng.uniform(1, 100)))
            for _ in range(50)]
-    full = _render(pix, 8, 8, cell=1).data
+    full = _render(pix, 8, 8).data
     assert np.all(full >= 0) and np.all(full <= 1)
-    sub = _render(pix[:25], 8, 8, cell=1).data
+    sub = _render(pix[:25], 8, 8).data
     both = (full > 0) & (sub > 0)
     assert np.all(sub[both] >= full[both])
 
@@ -147,6 +140,6 @@ def test_render_arrays_matches_list_variant():
     u = rng.uniform(0, 16, n)
     v = rng.uniform(0, 16, n)
     d = rng.uniform(0.5, 90, n)
-    a = _render_loop(list(zip(u, v, d)), 16, 16, cell=2)
-    b = render_sparse_depth_arrays(u, v, d, 16, 16, cell=2).data
+    a = _render_loop(list(zip(u, v, d)), 16, 16)
+    b = render_sparse_depth_arrays(u, v, d, 16, 16).data
     np.testing.assert_array_equal(a, b)

@@ -120,6 +120,13 @@ def test_poses_wrong_arity_reports_line():
         parse_poses(text)
 
 
+@pytest.mark.parametrize("line", ["a " * 12, "1 0 0 0 0 1 0 0 0 0 1 x", "nan " * 12,
+                                  "1 0 0 0 0 1 0 0 0 0 1 inf"])
+def test_poses_non_numeric_rejected(line):
+    with pytest.raises(FormatError, match="line 2"):
+        parse_poses("1 0 0 0 0 1 0 0 0 0 1 0\n" + line + "\n")
+
+
 def test_poses_non_orthonormal_rejected():
     with pytest.raises(FormatError, match="orthonormal"):
         parse_poses("2 0 0 0 0 2 0 0 0 0 2 0\n")

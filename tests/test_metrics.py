@@ -95,15 +95,15 @@ def test_ri_zero_standard():
 
 def test_evaluate_requires_standard():
     model = init_pipeline(small_pipeline_config(), seed=0)
-    frames = small_synth_frames(3, seed=0)
+    frames = small_synth_frames(3)
     with pytest.raises(ConfigError):
         evaluate_run([("low_light", frames)], model)
 
 
 def test_evaluate_schema_and_determinism():
     model = init_pipeline(small_pipeline_config(), seed=0)
-    frames = small_synth_frames(4, seed=0)
-    other = small_synth_frames(4, seed=1)
+    frames = small_synth_frames(4)
+    other = small_synth_frames(4)
     ds = [("standard", frames), ("dynamic", other)]
     m1 = evaluate_run(ds, model)
     m2 = evaluate_run(ds, model)
@@ -123,8 +123,8 @@ def test_evaluate_schema_and_determinism():
 def test_evaluate_ri_composition():
     # RI follows directly from per-scenario NA; checked against hand ratio
     model = init_pipeline(small_pipeline_config(), seed=0)
-    ds = [("standard", small_synth_frames(4, seed=0)),
-          ("low_light", small_synth_frames(4, seed=2))]
+    ds = [("standard", small_synth_frames(4)),
+          ("low_light", small_synth_frames(4))]
     m = evaluate_run(ds, model)
     na_std = m.per_scenario["standard"][0]
     if na_std > 0:
@@ -134,7 +134,7 @@ def test_evaluate_ri_composition():
 
 def test_evaluate_mean_weights_recorded():
     model = init_pipeline(small_pipeline_config(), seed=0)
-    m = evaluate_run([("standard", small_synth_frames(4, seed=0))], model)
+    m = evaluate_run([("standard", small_synth_frames(4))], model)
     w_rgb, w_lidar = m.mean_weights["standard"]
     assert w_rgb > 0 and w_lidar > 0
     assert w_rgb + w_lidar == pytest.approx(1.0, abs=1e-12)

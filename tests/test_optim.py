@@ -143,4 +143,3 @@ def test_train_config_paper_defaults():
     assert cfg.clip_norm == 10.0
     assert cfg.patience == 10
     assert cfg.weight_decay == 0.0001
-    assert cfg.dropout_rate == 0.1

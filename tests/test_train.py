@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from navfuse import train as train_mod
 from navfuse.errors import ConfigError
+from navfuse.kitti import AugmentPolicy, augment_frame
 from navfuse.optim import TrainConfig
 from navfuse.params import make_rng
 from navfuse.pipeline import init_pipeline
@@ -35,7 +37,7 @@ def test_make_chunks_bad_window():
 
 def test_validation_loss_matches_taped_chunks():
     model = init_pipeline(small_pipeline_config(), seed=0)
-    chunks = make_chunks([small_synth_frames(9, seed=0)[:8]], model.cfg.window)
+    chunks = make_chunks([small_synth_frames(9)[:8]], model.cfg.window)
     taped = [sequence_loss(c, model, "eval", make_rng(0), None) for c in chunks]
     assert all(loss._backward_fn is not None for loss in taped)
     assert validation_loss(model, chunks) == float(np.mean([float(l.data) for l in taped]))
@@ -50,7 +52,7 @@ def test_train_empty_dataset():
 def test_train_loss_decreases():
     cfg = small_pipeline_config()
     model = init_pipeline(cfg, seed=0)
-    frames = small_synth_frames(9, seed=0)
+    frames = small_synth_frames(9)
     result = train(model, [frames], [frames], _tcfg(total_epochs=5), max_epochs=5)
     assert result.logs[-1].val_loss < result.logs[0].val_loss
     assert result.best_val_loss <= min(l.val_loss for l in result.logs)
@@ -60,7 +62,7 @@ def test_train_zero_epochs_is_initialization():
     cfg = small_pipeline_config()
     model = init_pipeline(cfg, seed=0)
     before = model.params.state_dict()
-    frames = small_synth_frames(5, seed=0)
+    frames = small_synth_frames(5)
     result = train(model, [frames], [frames], _tcfg(), max_epochs=0)
     assert result.logs == []
     for k, v in before.items():
@@ -69,7 +71,7 @@ def test_train_zero_epochs_is_initialization():
 
 def test_train_bitwise_deterministic():
     cfg = small_pipeline_config()
-    frames = small_synth_frames(7, seed=0)
+    frames = small_synth_frames(7)
 
     def run():
         model = init_pipeline(cfg, seed=0)
@@ -85,7 +87,7 @@ def test_train_bitwise_deterministic():
 def test_train_early_stop_reason():
     cfg = small_pipeline_config()
     model = init_pipeline(cfg, seed=0)
-    frames = small_synth_frames(5, seed=0)
+    frames = small_synth_frames(5)
     # patience 1 with a zero lr: no improvement is possible after epoch 0
     result = train(model, [frames], [frames],
                    _tcfg(total_epochs=50, patience=1, lr_init=0.0, lr_min=0.0),
@@ -98,7 +100,7 @@ def test_train_early_stop_reason():
 def test_train_stop_hook():
     cfg = small_pipeline_config()
     model = init_pipeline(cfg, seed=0)
-    frames = small_synth_frames(5, seed=0)
+    frames = small_synth_frames(5)
     result = train(model, [frames], [frames], _tcfg(total_epochs=50),
                    max_epochs=50, stop_hook=lambda epoch, m, r: epoch >= 1)
     assert result.stopped_early
@@ -108,7 +110,7 @@ def test_train_stop_hook():
 def test_train_best_snapshot_restores_best_val():
     cfg = small_pipeline_config()
     model = init_pipeline(cfg, seed=0)
-    frames = small_synth_frames(7, seed=0)
+    frames = small_synth_frames(7)
     result = train(model, [frames], [frames], _tcfg(total_epochs=3), max_epochs=3)
     model.params.load_state_dict(result.best_params)
     for k, v in result.best_buffers.items():
@@ -122,7 +124,26 @@ def test_train_with_augmentation_runs():
     from navfuse.kitti import AugmentPolicy
     cfg = small_pipeline_config()
     model = init_pipeline(cfg, seed=0)
-    frames = small_synth_frames(5, seed=0)
+    frames = small_synth_frames(5)
     result = train(model, [frames], [frames], _tcfg(total_epochs=1),
                    augment=AugmentPolicy(), max_epochs=1)
     assert np.isfinite(result.logs[0].train_loss)
+
+
+def test_augmented_labels_clipped_at_configured_max_step(monkeypatch):
+    cfg = small_pipeline_config()
+    cfg.max_step = 2.0
+    model = init_pipeline(cfg, seed=0)
+    frames = small_synth_frames(13)[:4]  # 5 m lookahead: waypoints reach 5 m
+    assert max(np.abs(lf.waypoint).max() for lf in frames) > 2.0
+    seen = []
+
+    def recording(lf, rng, policy, **kw):
+        seen.append(augment_frame(lf, rng, policy, **kw))
+        return seen[-1]
+
+    monkeypatch.setattr(train_mod, "augment_frame", recording)
+    sequence_loss(frames, model, "train", make_rng(0), AugmentPolicy())
+    assert len(seen) == len(frames)
+    for lf in seen:
+        assert np.all(np.abs(lf.waypoint) <= 2.0) and np.all(np.abs(lf.ego_delta) <= 2.0)
