@@ -11,7 +11,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ContractError, DimensionError
 from .kitti import Image, PointCloud
-from .params import ParamRegistry, kaiming_uniform, register_conv, register_linear
+from .params import ParamRegistry, kaiming_uniform, linear, register_conv, register_linear
 from .tensor import Tensor
 
 MASK_NEG = -1e30
@@ -112,16 +112,6 @@ def init_rgb_params(cfg: RgbBranchConfig, params: ParamRegistry, rng) -> dict[st
     return buffers
 
 
-def _linear(x: Tensor, params: ParamRegistry, prefix: str) -> Tensor:
-    return T.add(T.matmul(x, params.get(prefix + ".w")), params.get(prefix + ".b"))
-
-
-def _vec_linear(x: Tensor, params: ParamRegistry, prefix: str) -> Tensor:
-    """Linear map for a 1-D vector input."""
-    out = _linear(T.reshape(x, (1, x.shape[0])), params, prefix)
-    return T.reshape(out, (out.shape[1],))
-
-
 def rgb_forward(image: Image, sparse_depth: Tensor, cfg: RgbBranchConfig,
                 params: ParamRegistry, buffers: dict[str, np.ndarray],
                 mode: str = "eval", use_attention: bool = True) -> Tensor:
@@ -150,15 +140,15 @@ def rgb_forward(image: Image, sparse_depth: Tensor, cfg: RgbBranchConfig,
         stage_summaries.append(T.tmean(T.reshape(x, (c, hh * ww)), axis=1))
     c, hh, ww = x.shape
     tokens = T.transpose(T.reshape(x, (c, hh * ww)))
-    tokens = _linear(tokens, params, "rgb.tokproj")
+    tokens = linear(tokens, params, "rgb.tokproj")
     if use_attention:
         tokens = attention_block(tokens, cfg.attn_heads, params, "rgb.attn")
     pooled_tokens = T.tmean(tokens, axis=0)
-    attn_part = _vec_linear(pooled_tokens, params, "rgb.attn_proj")
+    attn_part = linear(pooled_tokens, params, "rgb.attn_proj")
     scale_w = T.softmax(params.get("rgb.scale_logits"))
     mixed = attn_part
     for i, summary in enumerate(stage_summaries):
-        proj = _vec_linear(summary, params, f"rgb.stage_proj{i}")
+        proj = linear(summary, params, f"rgb.stage_proj{i}")
         mixed = T.add(mixed, T.mul(proj, scale_w[i:i + 1]))
     T.assert_finite(mixed, "rgb branch output")
     return mixed
@@ -250,7 +240,7 @@ def group_and_encode(cloud_cam: PointCloud, centroids: list[int],
     feats_in = np.concatenate([local, dist[..., None], refl_g[..., None]], axis=2)
     x = Tensor(feats_in.reshape(m * cap, 5))
     for i in range(len(cfg.mlp_dims)):
-        x = T.relu(_linear(x, params, f"point.mlp{i}"))
+        x = T.relu(linear(x, params, f"point.mlp{i}"))
     d_out = cfg.mlp_dims[-1]
     scores = T.matmul(x, params.get("point.group_score.w"))
     scores = T.reshape(scores, (m, cap))
@@ -289,6 +279,6 @@ def point_forward(cloud_cam: PointCloud, cfg: PointBranchConfig,
     scores = T.matmul(grouped, params.get("point.global_score.w"))
     weights = T.softmax(T.reshape(scores, (len(centroids),)))
     pooled = T.tsum(T.mul(grouped, T.reshape(weights, (len(centroids), 1))), axis=0)
-    vector = _vec_linear(pooled, params, "point.out")
+    vector = linear(pooled, params, "point.out")
     T.assert_finite(vector, "point branch output")
     return vector

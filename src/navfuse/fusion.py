@@ -12,7 +12,7 @@ from .errors import ContractError, DimensionError
 # no caller here: perfbench/spans.py wraps project_points under this name too
 from .geometry import project_points  # noqa: F401
 from .kitti import Image
-from .params import ParamRegistry, kaiming_uniform
+from .params import ParamRegistry, kaiming_uniform, linear, register_linear
 from .tensor import Tensor
 
 REL_FLOOR = 1e-3
@@ -70,9 +70,7 @@ def reliability_cloud(n_in_frustum: int, n_ref: int = N_REF_DEFAULT) -> float:
 
 def init_fusion_params(params: ParamRegistry, rng, in_dim: int, fusion_dim: int):
     for which in ("rgb", "lidar"):
-        params.register(f"fuse.map_{which}.w",
-                        kaiming_uniform(rng, (in_dim, fusion_dim), fan_in=in_dim))
-        params.register(f"fuse.map_{which}.b", np.zeros(fusion_dim))
+        register_linear(params, rng, f"fuse.map_{which}", in_dim, fusion_dim)
         # zero-init gate content vectors: at init the reliability prior alone
         # drives the weights, which keeps the gate monotone chain exact
         params.register(f"fuse.gate_u_{which}", np.zeros(fusion_dim))
@@ -84,12 +82,7 @@ def semantic_map(vector: Tensor, params: ParamRegistry, which: str) -> Tensor:
     """Affine map + tanh into the shared semantic space, one set per modality."""
     if which not in ("rgb", "lidar"):
         raise ContractError(f"unknown modality {which!r}")
-    w = params.get(f"fuse.map_{which}.w")
-    if vector.shape[0] != w.shape[0]:
-        raise DimensionError(f"semantic_map input dim {vector.shape[0]} != {w.shape[0]}")
-    row = T.reshape(vector, (1, vector.shape[0]))
-    out = T.add(T.matmul(row, w), params.get(f"fuse.map_{which}.b"))
-    return T.reshape(T.tanh(out), (w.shape[1],))
+    return T.tanh(linear(vector, params, f"fuse.map_{which}"))
 
 
 def fusion_weights(f_rgb: Tensor, f_lidar: Tensor, rel: ReliabilityScores,
@@ -104,9 +97,7 @@ def fusion_weights(f_rgb: Tensor, f_lidar: Tensor, rel: ReliabilityScores,
     logits = []
     for which, feat, r in (("rgb", f_rgb, rel.r_rgb), ("lidar", f_lidar, rel.r_lidar)):
         u = params.get(f"fuse.gate_u_{which}")
-        row = T.reshape(feat, (1, feat.shape[0]))
-        content = T.tsum(T.mul(T.tanh(T.matmul(row, v)),
-                               T.reshape(u, (1, u.shape[0]))))
+        content = T.tsum(T.mul(T.tanh(T.matmul(feat, v)), u))
         logits.append(T.add(T.reshape(content, (1,)), beta * np.log(r)))
     w = T.softmax(T.concat(logits, axis=0))
     return FusionWeights(w_rgb=float(w.data[0]), w_lidar=float(w.data[1])), w

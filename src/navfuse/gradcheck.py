@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,12 +13,10 @@ from .params import ParamRegistry
 @dataclass
 class GradCheckReport:
     tol: float
-    per_param: dict[str, float] = field(default_factory=dict)
     max_rel_err: float = 0.0
     passed: bool = True
 
-    def record(self, path: str, err: float):
-        self.per_param[path] = max(self.per_param.get(path, 0.0), err)
+    def record(self, err: float):
         if err > self.max_rel_err:
             self.max_rel_err = err
         if err > self.tol:
@@ -71,6 +69,6 @@ def grad_check(f, params: ParamRegistry, h: float = 1e-5, tol: float = 1e-4,
             fm = f().item()
             flat[i] = old
             numeric = (fp - fm) / (2.0 * h)
-            report.record(path, _rel_err(aflat[i], numeric))
+            report.record(_rel_err(aflat[i], numeric))
     params.zero_grads()
     return report

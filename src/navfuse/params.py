@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from . import tensor as T
 from .errors import ContractError
 from .tensor import Tensor
 
@@ -76,6 +77,12 @@ def register_linear(params: ParamRegistry, rng, prefix: str, d_in: int, d_out: i
     else:
         w = kaiming_uniform(rng, (d_in, d_out), fan_in=d_in)
     return params.register(prefix + ".w", w), params.register(prefix + ".b", np.zeros(d_out))
+
+
+def linear(x: Tensor, params: ParamRegistry, prefix: str) -> Tensor:
+    """x @ W + b with the weight and bias register_linear put under prefix;
+    x is one d_in vector or an N x d_in matrix of rows."""
+    return T.add(T.matmul(x, params.get(prefix + ".w")), params.get(prefix + ".b"))
 
 
 def register_conv(params: ParamRegistry, rng, prefix: str, c_in: int, c_out: int, k: int):

@@ -82,7 +82,7 @@ class StepResult:
 
 
 def initial_state(cfg: PipelineConfig) -> TM.TemporalState:
-    return TM.TemporalState.initial(cfg.hidden_dim)
+    return TM.TemporalState(hidden=Tensor(np.zeros(cfg.hidden_dim)))
 
 
 def pipeline_step(frame: Frame, state: TM.TemporalState, model: ModelState,

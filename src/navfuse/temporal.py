@@ -9,7 +9,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, DimensionError
-from .params import ParamRegistry, kaiming_uniform, register_linear
+from .params import ParamRegistry, kaiming_uniform, linear, register_linear
 from .tensor import Tensor
 
 
@@ -24,10 +24,6 @@ class TemporalState:
     hidden: Tensor
     window: list[Tensor] = field(default_factory=list)
     prev_fused: Tensor | None = None
-
-    @staticmethod
-    def initial(hidden_dim: int) -> "TemporalState":
-        return TemporalState(hidden=Tensor(np.zeros(hidden_dim)))
 
 
 def temporal_delta(fused_t: Tensor, prev: Tensor | None) -> Tensor:
@@ -49,23 +45,18 @@ def init_recurrent_params(params: ParamRegistry, rng, x_dim: int, hidden_dim: in
         params.register(f"rnn.b_{gate}", np.zeros(hidden_dim))
 
 
-def _gate(x_row: Tensor, h_row: Tensor, params: ParamRegistry, gate: str) -> Tensor:
-    return T.add(T.add(T.matmul(x_row, params.get(f"rnn.w_{gate}")),
-                       T.matmul(h_row, params.get(f"rnn.u_{gate}"))),
+def _gate(x: Tensor, h: Tensor, params: ParamRegistry, gate: str) -> Tensor:
+    return T.add(T.add(T.matmul(x, params.get(f"rnn.w_{gate}")),
+                       T.matmul(h, params.get(f"rnn.u_{gate}"))),
                  params.get(f"rnn.b_{gate}"))
 
 
 def recurrent_step(x: Tensor, h: Tensor, params: ParamRegistry) -> Tensor:
     """One GRU update of the hidden vector h from the input x."""
-    xr = T.reshape(x, (1, x.shape[0]))
-    hr = T.reshape(h, (1, h.shape[0]))
-    z = T.sigmoid(_gate(xr, hr, params, "z"))
-    r = T.sigmoid(_gate(xr, hr, params, "r"))
-    cand = T.tanh(T.add(T.add(T.matmul(xr, params.get("rnn.w_h")),
-                              T.matmul(T.mul(r, hr), params.get("rnn.u_h"))),
-                        params.get("rnn.b_h")))
-    out = T.add(T.mul(T.add(Tensor(np.ones(1)), T.mul(z, -1.0)), hr), T.mul(z, cand))
-    return T.reshape(out, (h.shape[0],))
+    z = T.sigmoid(_gate(x, h, params, "z"))
+    r = T.sigmoid(_gate(x, h, params, "r"))
+    cand = T.tanh(_gate(x, T.mul(r, h), params, "h"))
+    return T.add(T.mul(T.add(Tensor(np.ones(1)), T.mul(z, -1.0)), h), T.mul(z, cand))
 
 
 def init_temporal_attention_params(params: ParamRegistry, rng, hidden_dim: int,
@@ -80,14 +71,12 @@ def temporal_attention(h: Tensor, window: list[Tensor], params: ParamRegistry) -
     if not window:
         raise ContractError("temporal_attention needs a non-empty window")
     att_dim = params.get("tattn.q").shape[1]
-    q = T.matmul(T.reshape(h, (1, h.shape[0])), params.get("tattn.q"))
-    stacked = T.concat([T.reshape(w, (1, w.shape[0])) for w in window], axis=0)
+    q = T.matmul(h, params.get("tattn.q"))
+    stacked = T.reshape(T.concat(window, axis=0), (len(window), window[0].shape[0]))
     keys = T.matmul(stacked, params.get("tattn.k"))
     values = T.matmul(stacked, params.get("tattn.v"))
     scores = T.mul(T.matmul(q, keys.T), 1.0 / np.sqrt(att_dim))
-    alpha = T.softmax(scores, axis=-1)
-    out = T.matmul(alpha, values)
-    return T.reshape(out, (values.shape[1],))
+    return T.matmul(T.softmax(scores), values)
 
 
 def init_decision_params(params: ParamRegistry, rng, in_dim: int, hidden: int):
@@ -104,17 +93,13 @@ def decision_forward(h: Tensor, context: Tensor, fused_t: Tensor,
     """Two-layer MLP over (hidden, attention context, direct fused feature);
     outputs squashed into (-max_step, max_step)."""
     x = T.concat([h, context, fused_t], axis=0)
-    xr = T.reshape(x, (1, x.shape[0]))
-    hid = T.relu(T.add(T.matmul(xr, params.get("head.fc1.w")),
-                       params.get("head.fc1.b")))
+    hid = T.relu(linear(x, params, "head.fc1"))
     training = mode == "train"
     if training:
         if rng is None:
             raise ContractError("train-mode decision_forward needs an rng")
         hid = T.dropout(hid, dropout_rate, rng)
-    out = T.add(T.matmul(hid, params.get("head.fc2.w")), params.get("head.fc2.b"))
-    out = T.mul(T.tanh(out), max_step)
-    out = T.reshape(out, (5,))
+    out = T.mul(T.tanh(linear(hid, params, "head.fc2")), max_step)
     nav = NavOutput(waypoint=out.data[:2].copy(), ego_delta=out.data[2:].copy())
     return nav, out
 

@@ -35,10 +35,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
@@ -86,45 +82,15 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add(self, mul(_wrap(other), -1.0))
-
-    def __rsub__(self, other):
-        return add(_wrap(other), mul(self, -1.0))
-
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return mul(self, 1.0 / other)
-        return mul(self, powc(other, -1.0))
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, idx):
         return take(self, idx)
 
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 or isinstance(shape[0], int) else shape[0])
-
     @property
     def T(self):
         return transpose(self)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
 
 def _wrap(x) -> Tensor:
@@ -333,16 +299,19 @@ def concat(tensors, axis=0) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """a @ b for a matrix b; a is a matrix, or a vector that acts as one row:
+    (d,) @ (d, k) gives (k,)."""
     a, b = _wrap(a), _wrap(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError(f"matmul expects 2-D operands, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
+    if a.data.ndim not in (1, 2) or b.data.ndim != 2:
+        raise DimensionError(f"matmul expects a 1-D or 2-D left and a 2-D right operand, "
+                             f"got {a.data.shape} and {b.data.shape}")
+    if a.data.shape[-1] != b.data.shape[0]:
         raise DimensionError(f"matmul inner dims differ: {a.data.shape} vs {b.data.shape}")
     out = Tensor(a.data @ b.data)
     if _on_tape(a, b):
         def bwd(g):
             a._accumulate(g @ b.data.T)
-            b._accumulate(a.data.T @ g)
+            b._accumulate(np.atleast_2d(a.data).T @ np.atleast_2d(g))
         _record(out, (a, b), bwd)
     return out
 

@@ -136,8 +136,6 @@ def train(model: ModelState, train_seqs: list[list[LabeledFrame]],
         lr = 0.0
         for b in range(n_batches):
             idxs = order[b * tcfg.batch_size:(b + 1) * tcfg.batch_size]
-            if len(idxs) == 0:
-                continue
             batch_loss = None
             for i in idxs:
                 loss = sequence_loss(train_chunks[i], model, "train", rng, augment)

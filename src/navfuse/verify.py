@@ -12,7 +12,7 @@ from .backbones import PointBranchConfig, RgbBranchConfig
 from .gradcheck import GradCheckReport, grad_check
 from .params import ParamRegistry, make_rng
 from .pipeline import PipelineConfig, init_pipeline
-from .simulate import CameraConfig, LidarConfig, World, _default_boxes, make_trajectory, synth_sequence
+from .simulate import CameraConfig, LidarConfig, preset_scenario, synth_sequence
 from .train import sequence_loss
 
 
@@ -39,6 +39,7 @@ OP_CLOSURES = [
     ("take", lambda p: T.tsum(T.mul(p["vec"][1:3], p["vec"][0:2]))),
     ("concat", lambda p: T.tsum(T.tanh(T.concat([p["vec"], p["vec"]], axis=0)))),
     ("matmul", lambda p: T.tsum(T.tanh(T.matmul(p["a2"], p["b2"])))),
+    ("matmul_vec", lambda p: T.tsum(T.tanh(T.matmul(p["row"], p["b2"])))),
     ("softmax", lambda p: T.tsum(T.mul(T.softmax(p["vec"]), p["vec"]))),
     ("conv2d", lambda p: T.tsum(T.tanh(T.conv2d(p["img"], p["ker"], stride=1, pad=1)))),
     # the RGB branch's strided conv; img is 5-7 x 6, so its output sizes come
@@ -91,8 +92,7 @@ def small_pipeline_config() -> PipelineConfig:
 
 def small_synth_frames(n_frames: int = 5, width: int = 16, height: int = 16):
     """A tiny ray-cast sequence matched to small_pipeline_config."""
-    world = World(boxes=_default_boxes(moving=False),
-                  trajectory=make_trajectory(n_frames, speed=0.5, yaw_rate_deg=1.0))
+    world, _ = preset_scenario("standard", frames=n_frames, speed=0.5, yaw_rate_deg=1.0)
     cam = CameraConfig(width=width, height=height, focal=float(width))
     lidar = LidarConfig(n_azimuth=16, n_elevation=8)
     return synth_sequence(world, n_frames, cam, lidar)

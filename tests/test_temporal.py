@@ -14,7 +14,7 @@ from navfuse.pipeline import (PipelineConfig, init_pipeline, initial_state, pipe
                               rollout)
 from navfuse.simulate import (CameraConfig, DegradationSpec, LidarConfig, apply_degradation,
                               preset_scenario, synth_sequence)
-from navfuse.temporal import (TemporalState, decision_forward, init_decision_params,
+from navfuse.temporal import (decision_forward, init_decision_params,
                               init_recurrent_params, init_temporal_attention_params,
                               nav_loss, recurrent_step, temporal_attention,
                               temporal_delta)
@@ -349,6 +349,6 @@ def test_pipeline_hidden_bounded():
 
 
 def test_temporal_state_initial():
-    st = TemporalState.initial(6)
+    st = initial_state(PipelineConfig(hidden_dim=6))
     assert st.window == [] and st.prev_fused is None
     np.testing.assert_array_equal(st.hidden.data, np.zeros(6))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from navfuse import tensor as T
 from navfuse.errors import ContractError, DimensionError, NumericError
 from navfuse.gradcheck import grad_check
-from navfuse.params import ParamRegistry, make_rng
+from navfuse.params import ParamRegistry, linear, make_rng, register_linear
 
 
 def scalar_loss(t):
@@ -26,11 +26,48 @@ class TestMatmul:
         out = T.matmul(a, b)
         assert np.array_equal(out.data, [[2.0, 1.0], [4.0, 3.0]])
 
+    def test_hand_product_vector_left(self):
+        a = T.Tensor([1.0, 2.0])
+        b = T.Tensor([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0]])
+        out = T.matmul(a, b)
+        assert out.data.shape == (3,)
+        assert np.array_equal(out.data, [2.0, 1.0, 8.0])
+
     def test_mismatched_inner_dims(self):
         a = T.Tensor(np.zeros((2, 3)))
         b = T.Tensor(np.zeros((2, 3)))
         with pytest.raises(DimensionError):
             T.matmul(a, b)
+
+    @pytest.mark.parametrize("a_shape,b_shape", [
+        ((3,), (2, 4)),          # left vector of the wrong length
+        ((2, 3), (3,)),          # vector on the right
+        ((2, 2, 3), (3, 4)),     # 3-D left
+        ((2, 3), (3, 4, 1)),     # 3-D right
+    ])
+    def test_rejected_operand_shapes(self, a_shape, b_shape):
+        with pytest.raises(DimensionError):
+            T.matmul(T.Tensor(np.zeros(a_shape)), T.Tensor(np.zeros(b_shape)))
+
+
+# the dense layers of the default pipeline, d_in -> d_out
+PIPELINE_LINEAR_SHAPES = [(192, 64), (128, 64), (64, 64), (64, 5), (32, 64), (16, 64), (8, 64)]
+
+
+@pytest.mark.parametrize("d_in,d_out", PIPELINE_LINEAR_SHAPES)
+def test_linear_vector_bitwise_equals_row_form(d_in, d_out):
+    # vector layers used to run as a 1 x d_in row; the forward pass stays
+    # bitwise unchanged only if numpy's vector @ matrix equals that row product
+    rng = make_rng(d_in * 1000 + d_out)
+    params = ParamRegistry()
+    register_linear(params, rng, "fc", d_in, d_out)
+    params.get("fc.b").data = rng.normal(size=d_out)
+    for _ in range(20):
+        x = T.Tensor(rng.normal(size=d_in))
+        row = T.add(T.matmul(T.reshape(x, (1, d_in)), params.get("fc.w")), params.get("fc.b"))
+        out = linear(x, params, "fc")
+        assert out.shape == (d_out,)
+        assert np.array_equal(out.data, T.reshape(row, (d_out,)).data)
 
 
 class TestConv2d:
@@ -219,6 +256,7 @@ class TestGradCheck:
 
 OPS_FOR_CHECK = [
     ("matmul", lambda p: T.tsum(T.tanh(T.matmul(p["a2"], p["b2"])))),
+    ("matmul_vec", lambda p: T.tsum(T.tanh(T.matmul(p["row"], p["b2"])))),
     ("conv2d", lambda p: T.tsum(T.tanh(T.conv2d(p["img"], p["ker"], stride=2, pad=1)))),
     ("softmax", lambda p: T.tsum(T.mul(T.softmax(p["vec"]), p["vec"]))),
     ("relu", lambda p: T.tsum(T.relu(p["vec"]))),
