@@ -47,21 +47,30 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+def _graded(params: ParamRegistry) -> list:
+    """The (path, param) pairs that hold a gradient; a step with none is a
+    caller error."""
+    graded = [(path, p) for path, p in params.items() if p.grad is not None]
+    if not graded:
+        raise ContractError("no parameter has a gradient")
+    return graded
+
+
 def adam_step(params: ParamRegistry, state: AdamState, lr: float,
               weight_decay: float = 0.0) -> None:
     """Classic Adam with bias correction; weight decay enters as coupled L2.
 
-    Grads are zeroed after the update.
+    Only parameters with a gradient this step move; the others (a branch an
+    ablation switches off) keep their data and moments. Grads are zeroed
+    after the update.
     """
-    for path, p in params.items():
-        if p.grad is None:
-            raise ContractError(f"parameter {path!r} has no gradient")
+    graded = _graded(params)
     state.t += 1
     t = state.t
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
-    for path, p in params.items():
+    for path, p in graded:
         g = p.grad
         if weight_decay:
             g = g + weight_decay * p.data
@@ -94,20 +103,20 @@ def schedule_lr(step: int, warmup_steps: int, total_steps: int,
 
 
 def clip_global_norm(params: ParamRegistry, max_norm: float) -> float:
-    """Scale all grads so their global L2 norm is at most max_norm; returns pre-clip norm."""
+    """Scale the grads present so their global L2 norm is at most max_norm;
+    returns the pre-clip norm."""
     if max_norm <= 0:
         raise ConfigError("max_norm must be > 0")
+    graded = _graded(params)
     total = 0.0
-    for path, p in params.items():
-        if p.grad is None:
-            raise ContractError(f"parameter {path!r} has no gradient")
+    for path, p in graded:
         if not np.all(np.isfinite(p.grad)):
             raise NumericError(f"non-finite gradient in {path!r}")
         total += float(np.dot(p.grad.ravel(), p.grad.ravel()))
     norm = math.sqrt(total)
     if norm > max_norm:
         scale = max_norm / norm
-        for _, p in params.items():
+        for _, p in graded:
             p.grad *= scale
     return norm
 

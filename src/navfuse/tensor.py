@@ -3,7 +3,10 @@
 The tape is define-by-run: every op that touches a gradient-requiring
 tensor records a backward closure on its output node. ``backward`` on a
 scalar walks the graph once in reverse topological order, accumulates
-``+=`` into ``grad`` slots, then frees the tape.
+``+=`` into ``grad`` slots, then frees the tape. Leaf grads stay, so
+training calls ``backward`` on each chunk's loss as soon as it is built and
+the gradients add up over the batch: only one chunk's graph is alive at a
+time.
 
 Inside ``no_grad()`` no op records: outputs carry no closure, mask or
 parents, and forward values are unchanged. A pipeline step without a label
@@ -174,7 +177,7 @@ def relu(a) -> Tensor:
     a = _wrap(a)
     out = Tensor(np.maximum(a.data, 0.0))
     if _on_tape(a):
-        mask = (a.data > 0.0).astype(np.float64)
+        mask = a.data > 0.0
         def bwd(g):
             a._accumulate(g * mask)
         _record(out, (a,), bwd)

@@ -1,5 +1,9 @@
 """Training loop: chunked truncated backprop, Adam with warmup/cosine schedule,
-gradient clipping, early stopping, best-model retention."""
+gradient clipping, early stopping, best-model retention.
+
+Each chunk is backpropagated as soon as its loss is built, so training memory
+is one chunk's graph, whatever ``batch_size`` is.
+"""
 
 from __future__ import annotations
 
@@ -136,13 +140,12 @@ def train(model: ModelState, train_seqs: list[list[LabeledFrame]],
         lr = 0.0
         for b in range(n_batches):
             idxs = order[b * tcfg.batch_size:(b + 1) * tcfg.batch_size]
-            batch_loss = None
+            batch_loss = 0.0
             for i in idxs:
                 loss = sequence_loss(train_chunks[i], model, "train", rng, augment)
-                batch_loss = loss if batch_loss is None else batch_loss + loss
-            batch_loss = batch_loss * (1.0 / len(idxs))
-            epoch_losses.append(float(batch_loss.data))
-            batch_loss.backward()
+                batch_loss += float(loss.data)
+                (loss * (1.0 / len(idxs))).backward()
+            epoch_losses.append(batch_loss * (1.0 / len(idxs)))
             last_norm = clip_global_norm(model.params, tcfg.clip_norm)
             step += 1
             lr = schedule_lr(step, tcfg.warmup_steps, total_steps,

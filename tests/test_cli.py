@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 import yaml
 
+from navfuse.checkpoint import load_checkpoint
 from navfuse.cli import main
+from navfuse.config import config_from_dict
+from navfuse.pipeline import init_pipeline
 
 SMALL_CFG = """\
 seed: 0
@@ -233,3 +236,36 @@ def test_corrupt_checkpoint_is_io_error(tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"garbage")
     assert main(["eval", "--config", str(cfg), "--checkpoint", str(bad)]) == 3
+
+
+# Parameter prefixes of the branch each ablation flag switches off.
+_SWITCHED_OFF = {
+    "--modality=rgb": ("point.",),
+    "--modality=lidar": ("rgb.",),
+    "--no-temporal": ("rnn.", "tattn."),
+    "--no-attention": ("rgb.attn.",),
+}
+
+
+@pytest.fixture(scope="module")
+def synth_tree(tmp_path_factory):
+    root = tmp_path_factory.mktemp("ablate")
+    cfg, _ = _write_cfg(root)
+    assert main(["synth", "--config", str(cfg)]) == 0
+    return cfg
+
+
+@pytest.mark.parametrize("flag", sorted(_SWITCHED_OFF))
+def test_train_ablation_leaves_switched_off_branch_untouched(synth_tree, tmp_path, flag):
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(synth_tree), "--out", str(run),
+                 "--epochs", "1", flag]) == 0
+    ckpt = load_checkpoint(str(run / "checkpoint.bin"))
+    run_cfg = config_from_dict(ckpt.config)
+    init = init_pipeline(run_cfg.pipeline, seed=run_cfg.seed).params.state_dict()
+    off = [k for k in init if k.startswith(_SWITCHED_OFF[flag])]
+    assert off
+    for k in off:
+        assert ckpt.params[k].tobytes() == init[k].tobytes(), k
+    assert any(ckpt.params[k].tobytes() != v.tobytes()
+               for k, v in init.items() if k not in off)

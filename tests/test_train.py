@@ -1,12 +1,14 @@
 """Training loop behavior: chunking, descent, early stop, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from navfuse import train as train_mod
 from navfuse.errors import ConfigError
 from navfuse.kitti import AugmentPolicy, augment_frame
-from navfuse.optim import TrainConfig
+from navfuse.optim import AdamState, TrainConfig, adam_step, clip_global_norm, schedule_lr
 from navfuse.params import make_rng
 from navfuse.pipeline import init_pipeline
 from navfuse.train import make_chunks, sequence_loss, train, validation_loss
@@ -147,3 +149,81 @@ def test_augmented_labels_clipped_at_configured_max_step(monkeypatch):
     assert len(seen) == len(frames)
     for lf in seen:
         assert np.all(np.abs(lf.waypoint) <= 2.0) and np.all(np.abs(lf.ego_delta) <= 2.0)
+
+
+def _whole_batch_train(model, chunks, tcfg, augment, on_step):
+    """Reference for one epoch of train(): the chunk losses of a batch are
+    summed and scaled into one graph, and one backward() walks all of it.
+    Returns the logged epoch loss."""
+    rng = make_rng(tcfg.seed)
+    adam = AdamState()
+    n_batches = (len(chunks) + tcfg.batch_size - 1) // tcfg.batch_size
+    order = rng.permutation(len(chunks))
+    losses = []
+    for b in range(n_batches):
+        idxs = order[b * tcfg.batch_size:(b + 1) * tcfg.batch_size]
+        batch_loss = None
+        for i in idxs:
+            loss = sequence_loss(chunks[i], model, "train", rng, augment)
+            batch_loss = loss if batch_loss is None else batch_loss + loss
+        batch_loss = batch_loss * (1.0 / len(idxs))
+        losses.append(float(batch_loss.data))
+        batch_loss.backward()
+        clip_global_norm(model.params, tcfg.clip_norm)
+        on_step(model.params)
+        lr = schedule_lr(b + 1, tcfg.warmup_steps, n_batches, tcfg.lr_init, tcfg.lr_min)
+        adam_step(model.params, adam, lr, tcfg.weight_decay)
+    return float(np.mean(losses))
+
+
+def test_chunkwise_backprop_equals_whole_batch_graph(monkeypatch):
+    cfg = small_pipeline_config()
+    frames = small_synth_frames(29)
+    # no clipping: a rescaled gradient must show, not be normalized away
+    tcfg = _tcfg(batch_size=3, total_epochs=1, clip_norm=1e12)
+    augment = AugmentPolicy()
+
+    def grads(params):
+        return {k: p.grad.copy() for k, p in params.items()}
+
+    seen = []
+
+    def recording_adam(params, state, lr, weight_decay=0.0):
+        seen.append(grads(params))
+        return adam_step(params, state, lr, weight_decay)
+
+    monkeypatch.setattr(train_mod, "adam_step", recording_adam)
+    result = train(init_pipeline(cfg, seed=0), [frames], [], tcfg, augment=augment,
+                   max_epochs=1)
+    monkeypatch.undo()
+
+    expected = []
+    model = init_pipeline(cfg, seed=0)
+    chunks = make_chunks([frames], cfg.window)
+    loss = _whole_batch_train(model, chunks, tcfg, augment,
+                              lambda params: expected.append(grads(params)))
+    assert len(chunks) % tcfg.batch_size != 0
+    assert len(seen) == len(expected) == 3
+    for got, want in zip(seen, expected):
+        assert got.keys() == want.keys()
+        for k in want:
+            assert got[k].tobytes() == want[k].tobytes(), k
+    assert result.logs[0].train_loss == loss
+
+
+def _train_peak_bytes(batch_size: int) -> int:
+    model = init_pipeline(small_pipeline_config(), seed=0)
+    frames = small_synth_frames(33)  # 32 labeled frames, 8 chunks
+    tcfg = _tcfg(batch_size=batch_size, total_epochs=1, warmup_steps=1)
+    tracemalloc.start()
+    try:
+        train(model, [frames], [], tcfg, max_epochs=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_train_memory_independent_of_batch_size():
+    # each chunk is backpropagated as soon as it is built, so a batch of 8
+    # chunks holds no more graph than a batch of 1
+    assert _train_peak_bytes(8) / _train_peak_bytes(1) < 1.5
