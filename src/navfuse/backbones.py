@@ -268,12 +268,9 @@ def point_forward(cloud_cam: PointCloud, cfg: PointBranchConfig,
             raise ContractError("subsampling above input_budget needs an explicit rng")
         idx = np.sort(rng.choice(n, size=cfg.input_budget, replace=False))
         work = PointCloud(points=cloud_cam.points[idx])
-    elif n < cfg.input_budget:
+    else:
         reps = np.resize(np.arange(n), cfg.input_budget)
         work = PointCloud(points=cloud_cam.points[reps])
-    else:
-        work = cloud_cam
-    k = min(k, len(work))
     centroids = fps_sample(work, k)
     grouped = group_and_encode(work, centroids, cfg, params)
     scores = T.matmul(grouped, params.get("point.global_score.w"))

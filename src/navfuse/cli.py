@@ -14,7 +14,7 @@ import yaml
 
 from . import simulate as S
 from .checkpoint import Checkpoint, load_checkpoint, restore_model, save_checkpoint
-from .config import RunConfig, config_from_dict, config_to_dict, load_config
+from .config import RunConfig, config_to_dict, load_config
 from .errors import CheckpointError, ConfigError, ContractError, FormatError, NavfuseError
 from .kitti import (AugmentPolicy, CalibrationSet, load_sequences, save_ppm,
                     serialize_calib, serialize_poses, serialize_velodyne_bin)
@@ -34,20 +34,19 @@ EXIT_IO = 3
 
 
 def _load_run_config(args) -> RunConfig:
+    text = ""
     if args.config:
         try:
             text = Path(args.config).read_text()
         except OSError as e:
             raise OSError(f"cannot read config {args.config}: {e}") from None
-        cfg = load_config(text)
-    else:
-        cfg = config_from_dict({})
+    cfg = load_config(text)
     if args.seed is not None:
         cfg.seed = args.seed
         cfg.train.seed = args.seed
     if args.out is not None:
         cfg.out_dir = args.out
-    return cfg
+    return cfg.validate()
 
 
 def _apply_ablations(cfg: RunConfig, args) -> None:
@@ -114,8 +113,7 @@ def cmd_synth(args) -> int:
     cfg = _load_run_config(args)
     sc = cfg.synth
     out_root = Path(cfg.out_dir)
-    cam = S.CameraConfig(width=sc.width, height=sc.height, focal=sc.focal)
-    lidar = S.LidarConfig(n_azimuth=sc.n_azimuth, n_elevation=sc.n_elevation)
+    cam, lidar = sc.camera(), sc.lidar()
     manifest = {"seed": cfg.seed, "frames": sc.frames, "sequences": {}}
     try:
         for i, name in enumerate(sc.scenarios):
@@ -126,20 +124,11 @@ def cmd_synth(args) -> int:
             (seq_dir / "velodyne").mkdir(parents=True, exist_ok=True)
             (seq_dir / "image_2").mkdir(parents=True, exist_ok=True)
             (out_root / "poses").mkdir(parents=True, exist_ok=True)
-
-            labeled = S.synth_sequence(world, sc.frames, cam, lidar,
-                                       lookahead_m=cfg.data.lookahead_m,
-                                       max_step=cfg.pipeline.max_step)
-            # the final trajectory pose has no label but its frame is still
-            # written, so a reader re-derives exactly the same label set
-            last_image = S.render_frame(world, sc.frames - 1, cam)
-            last_cloud = S.scan_frame(world, sc.frames - 1, cam, lidar)
-            frames = [(lf.frame.image, lf.frame.cloud) for lf in labeled]
-            frames.append((last_image, last_cloud))
-
-            for t, (image, cloud) in enumerate(frames):
-                image = S.degrade_image(image, spec, rng)
-                cloud = S.degrade_cloud(cloud, spec, rng)
+            # every pose gets a frame, the last one too: it has no label, but
+            # a reader derives the labels of the others from its pose
+            for t in range(sc.frames):
+                image = S.degrade_image(S.render_frame(world, t, cam), spec, rng)
+                cloud = S.degrade_cloud(S.scan_frame(world, t, cam, lidar), spec, rng)
                 (seq_dir / "velodyne" / f"{t:06d}.bin").write_bytes(
                     serialize_velodyne_bin(cloud))
                 (seq_dir / "image_2" / f"{t:06d}.ppm").write_bytes(save_ppm(image))
@@ -173,7 +162,7 @@ def cmd_train(args) -> int:
 
     with open(log_path, "w") as log_fh:
         def log_fn(log):
-            log_fh.write(json.dumps(log.to_dict(), sort_keys=True) + "\n")
+            log_fh.write(json.dumps(vars(log), sort_keys=True) + "\n")
             log_fh.flush()
             print(f"epoch {log.epoch:4d}  lr {log.lr:.6f}  "
                   f"train {log.train_loss:.6f}  val {log.val_loss:.6f}  "
@@ -237,29 +226,19 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = _load_run_config(args)
-    entries = run_op_checks(seeds=(cfg.seed, cfg.seed + 1, cfg.seed + 2))
-    pipeline_rep = run_pipeline_check(seed=cfg.seed)
-    report = []
-    failed = []
-    for e in entries:
-        report.append({"record": "op", "name": e.name,
-                       "max_rel_err": e.max_rel_err, "passed": e.passed})
-        if not e.passed:
-            failed.append(e.name)
-    report.append({"record": "pipeline", "name": "full_pipeline",
-                   "max_rel_err": pipeline_rep.max_rel_err,
-                   "passed": pipeline_rep.passed})
-    if not pipeline_rep.passed:
-        failed.append("full_pipeline")
+    ops = run_op_checks(seeds=(cfg.seed, cfg.seed + 1, cfg.seed + 2))
+    checks = [("op", name, rep) for name, rep in ops.items()]
+    checks.append(("pipeline", "full_pipeline", run_pipeline_check(seed=cfg.seed)))
+    failed = [name for _, name, rep in checks if not rep.passed]
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "gradcheck.jsonl", "w") as fh:
-        for rec in report:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    for rec in report:
-        mark = "ok  " if rec["passed"] else "FAIL"
-        print(f"{mark} {rec['name']:<16} max rel err {rec['max_rel_err']:.3e}")
+        for record, name, rep in checks:
+            fh.write(json.dumps({"record": record, "name": name, "max_rel_err": rep.max_rel_err,
+                                 "passed": rep.passed}, sort_keys=True) + "\n")
+    for _, name, rep in checks:
+        print(f"{'ok  ' if rep.passed else 'FAIL'} {name:<16} max rel err {rep.max_rel_err:.3e}")
     if failed:
         print(f"gradcheck FAILED for: {', '.join(failed)}")
         return EXIT_CHECK_FAILURE
@@ -279,9 +258,7 @@ def cmd_bench(args) -> int:
     sc = cfg.synth
     world, _ = S.preset_scenario("standard", frames=max(sc.frames, 12),
                                  speed=sc.speed, yaw_rate_deg=sc.yaw_rate_deg)
-    cam = S.CameraConfig(width=sc.width, height=sc.height, focal=sc.focal)
-    lidar = S.LidarConfig(n_azimuth=sc.n_azimuth, n_elevation=sc.n_elevation)
-    labeled = S.synth_sequence(world, max(sc.frames, 12), cam, lidar)
+    labeled = S.synth_sequence(world, max(sc.frames, 12), sc.camera(), sc.lidar())
 
     # one stream whose state carries over from the warm-up into the measured
     # frames, so state that grows from frame to frame shows in the timing

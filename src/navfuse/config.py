@@ -13,7 +13,7 @@ from .backbones import PointBranchConfig, RgbBranchConfig
 from .errors import ConfigError
 from .optim import TrainConfig
 from .pipeline import PipelineConfig
-from .simulate import SCENARIOS
+from .simulate import SCENARIOS, CameraConfig, LidarConfig
 
 
 @dataclass
@@ -36,6 +36,22 @@ class SynthConfig:
     speed: float = 0.5
     yaw_rate_deg: float = 0.5
 
+    def camera(self) -> CameraConfig:
+        return CameraConfig(width=self.width, height=self.height, focal=self.focal)
+
+    def lidar(self) -> LidarConfig:
+        return LidarConfig(n_azimuth=self.n_azimuth, n_elevation=self.n_elevation)
+
+    def validate(self):
+        # the last pose has no label, so one frame gives an empty sequence
+        if self.frames < 2:
+            raise ConfigError("synth.frames must be >= 2")
+        for s in self.scenarios:
+            if s not in SCENARIOS:
+                raise ConfigError(f"unknown scenario {s!r}")
+        self.camera().validate()
+        return self
+
 
 @dataclass
 class RunConfig:
@@ -47,11 +63,11 @@ class RunConfig:
     synth: SynthConfig = field(default_factory=SynthConfig)
 
     def validate(self):
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         self.pipeline.validate()
         self.train.validate()
-        for s in self.synth.scenarios:
-            if s not in SCENARIOS:
-                raise ConfigError(f"unknown scenario {s!r}")
+        self.synth.validate()
         return self
 
 
@@ -117,10 +133,6 @@ def _to_plain(obj: Any) -> Any:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     return _to_plain(cfg)
-
-
-def config_to_yaml(cfg: RunConfig) -> str:
-    return yaml.safe_dump(config_to_dict(cfg), sort_keys=False)
 
 
 def config_from_dict(data: dict) -> RunConfig:

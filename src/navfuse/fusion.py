@@ -86,11 +86,12 @@ def semantic_map(vector: Tensor, params: ParamRegistry, which: str) -> Tensor:
 
 
 def fusion_weights(f_rgb: Tensor, f_lidar: Tensor, rel: ReliabilityScores,
-                   params: ParamRegistry, beta: float = 1.0) -> tuple[FusionWeights, Tensor]:
-    """Content logit + beta * ln(reliability) per modality, softmax-normalized.
+                   params: ParamRegistry, beta: float = 1.0) -> Tensor:
+    """Content logit + beta * ln(reliability) per modality, softmax-normalized
+    into the differentiable 2-vector (w_rgb, w_lidar).
 
     The additive log-reliability term makes w_m strictly increasing in r_m
-    for beta > 0. Returns the weights and the differentiable 2-vector.
+    for beta > 0.
     """
     rel.validate()
     v = params.get("fuse.gate_v")
@@ -99,8 +100,7 @@ def fusion_weights(f_rgb: Tensor, f_lidar: Tensor, rel: ReliabilityScores,
         u = params.get(f"fuse.gate_u_{which}")
         content = T.tsum(T.mul(T.tanh(T.matmul(feat, v)), u))
         logits.append(T.add(T.reshape(content, (1,)), beta * np.log(r)))
-    w = T.softmax(T.concat(logits, axis=0))
-    return FusionWeights(w_rgb=float(w.data[0]), w_lidar=float(w.data[1])), w
+    return T.softmax(T.concat(logits, axis=0))
 
 
 def fuse(f_rgb: Tensor, f_lidar: Tensor, w: Tensor, rel: ReliabilityScores) -> FusedFeature:

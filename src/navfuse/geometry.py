@@ -24,9 +24,6 @@ def project_points(xyz_cam: np.ndarray, P: np.ndarray, width: int, height: int,
     Keeps points with z > z_near landing inside the image; input order is
     preserved among the retained points.
     """
-    if xyz_cam.shape[0] == 0:
-        e = np.zeros(0)
-        return e, e, e, np.zeros(0, dtype=int)
     homo = np.column_stack([xyz_cam, np.ones(len(xyz_cam))])
     proj = homo @ P.T
     z = xyz_cam[:, 2]

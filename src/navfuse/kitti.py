@@ -103,11 +103,6 @@ class AugmentPolicy:
     yaw_deg: float = 5.0
     jitter_sigma: float = 0.01
 
-    @staticmethod
-    def neutral() -> "AugmentPolicy":
-        return AugmentPolicy(flip_prob=0.0, brightness_scale=(1.0, 1.0),
-                             brightness_shift=(0.0, 0.0), yaw_deg=0.0, jitter_sigma=0.0)
-
 
 # -- binary / text parsers --------------------------------------------
 
@@ -129,14 +124,18 @@ def serialize_velodyne_bin(cloud: PointCloud) -> bytes:
     return cloud.points.astype("<f4").tobytes()
 
 
-def _parse_calib_line(fields: list[str], key: str) -> np.ndarray:
+def _parse_3x4(fields: list[str], what: str) -> np.ndarray:
+    """12 finite floats, row-major, as a 3x4 matrix; FormatError naming
+    `what` otherwise."""
     if len(fields) != 12:
-        raise FormatError(f"calibration key {key!r} expects 12 floats, got {len(fields)}")
+        raise FormatError(f"{what}: expected 12 floats, got {len(fields)}")
     try:
-        vals = [float(v) for v in fields]
+        mat = np.array([float(v) for v in fields], dtype=np.float64).reshape(3, 4)
     except ValueError as e:
-        raise FormatError(f"calibration key {key!r}: {e}") from None
-    return np.array(vals, dtype=np.float64).reshape(3, 4)
+        raise FormatError(f"{what}: {e}") from None
+    if not np.all(np.isfinite(mat)):
+        raise FormatError(f"{what}: non-finite value")
+    return mat
 
 
 def parse_calib(text: str) -> CalibrationSet:
@@ -148,7 +147,7 @@ def parse_calib(text: str) -> CalibrationSet:
             continue
         key, _, rest = line.partition(":")
         key = key.strip()
-        entries[key] = _parse_calib_line(rest.split(), key)
+        entries[key] = _parse_3x4(rest.split(), f"calibration key {key!r}")
     for required in ("P2", "Tr"):
         if required not in entries:
             raise FormatError(f"calibration file missing key {required!r}")
@@ -170,15 +169,7 @@ def parse_poses(text: str) -> list[Pose]:
         line = line.strip()
         if not line:
             continue
-        fields = line.split()
-        if len(fields) != 12:
-            raise FormatError(f"pose line {lineno}: expected 12 floats, got {len(fields)}")
-        try:
-            mat = np.array([float(v) for v in fields], dtype=np.float64).reshape(3, 4)
-        except ValueError as e:
-            raise FormatError(f"pose line {lineno}: {e}") from None
-        if not np.all(np.isfinite(mat)):
-            raise FormatError(f"pose line {lineno}: non-finite value")
+        mat = _parse_3x4(line.split(), f"pose line {lineno}")
         t = np.vstack([mat, [0.0, 0.0, 0.0, 1.0]])
         r = t[:3, :3]
         defect = float(np.abs(r @ r.T - np.eye(3)).max())
@@ -354,9 +345,7 @@ def load_sequences(root: str | os.PathLike, lookahead_m: float = 5.0,
 
 
 def augment_frame(lf: LabeledFrame, rng: np.random.Generator,
-                  policy: AugmentPolicy,
-                  force_flip: bool | None = None,
-                  max_step: float = 5.0) -> LabeledFrame:
+                  policy: AugmentPolicy, max_step: float = 5.0) -> LabeledFrame:
     """Horizontal flip, brightness/contrast jitter, and cloud yaw+jitter.
 
     Flip and yaw act in the camera frame (x lateral); label lateral
@@ -368,8 +357,7 @@ def augment_frame(lf: LabeledFrame, rng: np.random.Generator,
     waypoint = lf.waypoint.copy()
     ego_delta = lf.ego_delta.copy()
 
-    do_flip = force_flip if force_flip is not None else bool(rng.random() < policy.flip_prob)
-    if do_flip:
+    if rng.random() < policy.flip_prob:
         pixels = pixels[:, ::-1]
         cam_pts = cam_pts * np.array([-1.0, 1.0, 1.0])
         waypoint[1] = -waypoint[1]

@@ -32,6 +32,8 @@ class TrainConfig:
             raise ConfigError("clip_norm must be > 0")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("train.seed must be >= 0")
         return self
 
 

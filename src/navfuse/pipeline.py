@@ -49,6 +49,11 @@ class PipelineConfig:
             raise ConfigError("beta must be >= 0")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ConfigError("dropout_rate must be in [0, 1)")
+        if self.window < 1 or self.n_ref < 1:
+            raise ConfigError("window and n_ref must be >= 1")
+        for name in ("fusion_dim", "hidden_dim", "max_step", "depth_max", "tau_img"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be > 0")
         return self
 
 
@@ -136,8 +141,8 @@ def pipeline_step(frame: Frame, state: TM.TemporalState, model: ModelState,
         rel = F.ReliabilityScores(r_rgb=r_rgb, r_lidar=r_lidar)
         f_rgb = F.semantic_map(rgb_feat, params, "rgb")
         f_lidar = F.semantic_map(pt_feat, params, "lidar")
-        _, w_t = F.fusion_weights(f_rgb, f_lidar, rel, params, cfg.beta)
-        fused = F.fuse(f_rgb, f_lidar, w_t, rel)
+        weights = F.fusion_weights(f_rgb, f_lidar, rel, params, cfg.beta)
+        fused = F.fuse(f_rgb, f_lidar, weights, rel)
 
         if timings is not None:
             t1 = time.perf_counter()

@@ -47,6 +47,11 @@ class CameraConfig:
     def cy(self) -> float:
         return self.height / 2.0
 
+    def validate(self):
+        if self.focal <= 0 or self.width < 8 or self.height < 8:
+            raise ConfigError("degenerate camera configuration")
+        return self
+
     def projection(self) -> np.ndarray:
         return np.array([[self.focal, 0.0, self.cx, 0.0],
                          [0.0, self.focal, self.cy, 0.0],
@@ -81,11 +86,6 @@ class DegradationSpec:
                 or self.image_noise_sigma < 0 or self.cloud_jitter_sigma < 0):
             raise ConfigError("degradation magnitudes must be >= 0")
         return self
-
-    def is_neutral(self) -> bool:
-        return (self.image_blur_radius == 0 and self.brightness_scale == 1.0
-                and self.image_noise_sigma == 0.0 and self.cloud_dropout == 0.0
-                and self.cloud_jitter_sigma == 0.0)
 
 
 def make_trajectory(frames: int, speed: float = 0.5, yaw_rate_deg: float = 0.0) -> list[Pose]:
@@ -194,17 +194,16 @@ def scan_frame(world: World, t: int, cam: CameraConfig, lidar: LidarConfig) -> P
 
 
 def synth_sequence(world: World, frames: int, cam: CameraConfig, lidar: LidarConfig,
-                   lookahead_m: float = 5.0, max_step: float = 5.0) -> list[LabeledFrame]:
+                   lookahead_m: float = 5.0) -> list[LabeledFrame]:
     """Generate a labeled synthetic sequence (undegraded)."""
     if frames < 2:
         raise ConfigError("synth_sequence needs frames >= 2")
     if len(world.trajectory) < frames:
         raise ConfigError("world trajectory shorter than requested frame count")
-    if cam.focal <= 0 or cam.width < 8 or cam.height < 8:
-        raise ConfigError("degenerate camera configuration")
+    cam.validate()
     calib = CalibrationSet(P=cam.projection(), Tr=lidar.transform()).validate()
     poses = world.trajectory[:frames]
-    labels = derive_labels(poses, lookahead_m, max_step)
+    labels = derive_labels(poses, lookahead_m)
     out = []
     for t in range(frames - 1):
         frame = Frame(index=t, image=render_frame(world, t, cam),
@@ -255,17 +254,6 @@ def degrade_cloud(cloud: PointCloud, spec: DegradationSpec,
         pts = pts.copy()
         pts[:, :3] += rng.normal(scale=spec.cloud_jitter_sigma, size=(len(pts), 3))
     return PointCloud(points=pts, dropped=cloud.dropped)
-
-
-def apply_degradation(lf: LabeledFrame, spec: DegradationSpec,
-                      rng: np.random.Generator) -> LabeledFrame:
-    if spec.is_neutral():
-        return lf
-    f = lf.frame
-    frame = Frame(index=f.index, image=degrade_image(f.image, spec, rng),
-                  cloud=degrade_cloud(f.cloud, spec, rng), calib=f.calib,
-                  pose=f.pose)
-    return LabeledFrame(frame=frame, waypoint=lf.waypoint, ego_delta=lf.ego_delta)
 
 
 # -- presets -----------------------------------------------------------

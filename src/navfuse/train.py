@@ -32,11 +32,6 @@ class EpochLog:
     wall_seconds: float
     grad_norm: float
 
-    def to_dict(self) -> dict:
-        return {"epoch": self.epoch, "lr": self.lr, "train_loss": self.train_loss,
-                "val_loss": self.val_loss, "wall_seconds": self.wall_seconds,
-                "grad_norm": self.grad_norm}
-
 
 @dataclass
 class TrainResult:

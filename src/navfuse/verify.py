@@ -3,8 +3,6 @@ unrolled pipeline at desk shapes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -15,12 +13,12 @@ from .pipeline import PipelineConfig, init_pipeline
 from .simulate import CameraConfig, LidarConfig, preset_scenario, synth_sequence
 from .train import sequence_loss
 
-
-@dataclass
-class SuiteEntry:
-    name: str
-    max_rel_err: float
-    passed: bool
+# central-difference step, pass threshold on the relative error, unrolled
+# pipeline length, and probed entries per parameter of the pipeline check
+H = 1e-6
+TOL = 1e-4
+PIPELINE_FRAMES = 4
+ENTRIES_PER_PARAM = 2
 
 
 OP_CLOSURES = [
@@ -52,12 +50,12 @@ OP_CLOSURES = [
 ]
 
 
-def run_op_checks(seeds=(0, 1, 2), h: float = 1e-6, tol: float = 1e-4) -> list[SuiteEntry]:
-    """Finite-difference check for every differentiable tensor op."""
-    results = []
+def run_op_checks(seeds=(0, 1, 2)) -> dict[str, GradCheckReport]:
+    """Finite-difference check for every differentiable tensor op; one report
+    per op, holding the worst error over all seeds."""
+    results = {}
     for name, fn in OP_CLOSURES:
-        worst = 0.0
-        ok = True
+        report = results[name] = GradCheckReport(tol=TOL)
         for seed in seeds:
             rng = make_rng(seed)
             params = ParamRegistry()
@@ -71,10 +69,7 @@ def run_op_checks(seeds=(0, 1, 2), h: float = 1e-6, tol: float = 1e-4) -> list[S
                 "gamma": params.register("gamma", rng.normal(size=(4,))),
                 "beta": params.register("beta", rng.normal(size=(4,))),
             }
-            rep = grad_check(lambda: fn(tensors), params, h=h, tol=tol)
-            worst = max(worst, rep.max_rel_err)
-            ok = ok and rep.passed
-        results.append(SuiteEntry(name=name, max_rel_err=worst, passed=ok))
+            report.record(grad_check(lambda: fn(tensors), params, h=H, tol=TOL).max_rel_err)
     return results
 
 
@@ -98,17 +93,15 @@ def small_synth_frames(n_frames: int = 5, width: int = 16, height: int = 16):
     return synth_sequence(world, n_frames, cam, lidar)
 
 
-def run_pipeline_check(seed: int = 0, n_frames: int = 4, h: float = 1e-6,
-                       tol: float = 1e-4,
-                       entries_per_param: int = 2) -> GradCheckReport:
-    """Gradient check of the fully unrolled pipeline loss over n_frames.
+def run_pipeline_check(seed: int = 0) -> GradCheckReport:
+    """Gradient check of the pipeline loss fully unrolled over PIPELINE_FRAMES.
 
     Eval mode keeps the closure deterministic (no dropout, fixed BN stats),
     and every evaluation gets a fresh make_rng(0), as validation does; a
     seeded subset of entries per parameter keeps the runtime bounded.
     """
     model = init_pipeline(small_pipeline_config(), seed=seed)
-    frames = small_synth_frames(n_frames + 1)[:n_frames]
+    frames = small_synth_frames(PIPELINE_FRAMES + 1)[:PIPELINE_FRAMES]
     return grad_check(lambda: sequence_loss(frames, model, "eval", make_rng(0), None),
-                      model.params, h=h, tol=tol,
-                      entries_per_param=entries_per_param, rng=make_rng(seed + 1))
+                      model.params, h=H, tol=TOL,
+                      entries_per_param=ENTRIES_PER_PARAM, rng=make_rng(seed + 1))

@@ -8,6 +8,7 @@ checklist.  Tolerances are stated inline next to each assertion.
 import json
 import struct
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from navfuse.optim import TrainConfig
 from navfuse.params import ParamRegistry, make_rng
 from navfuse.pipeline import init_pipeline
 from navfuse.simulate import (SCENARIOS, CameraConfig, LidarConfig, World,
-                              _default_boxes, apply_degradation, degrade_cloud,
+                              _default_boxes, degrade_cloud,
                               degrade_image, make_trajectory, preset_scenario,
                               render_frame, scan_frame, synth_sequence)
 from navfuse.tensor import Tensor
@@ -44,12 +45,10 @@ def _verdict(num: int, name: str, ok: bool) -> None:
 
 def test_criterion_1_gradient_integrity():
     t0 = time.perf_counter()
-    entries = run_op_checks(seeds=(0, 1, 2), tol=1e-4)
-    reports = [run_pipeline_check(seed=s, n_frames=4, tol=1e-4) for s in (0, 1, 2)]
+    reports = list(run_op_checks(seeds=(0, 1, 2)).values())
+    reports += [run_pipeline_check(seed=s) for s in (0, 1, 2)]
     elapsed = time.perf_counter() - t0
-    ok = (all(e.passed and e.max_rel_err <= 1e-4 for e in entries)
-          and all(r.passed and r.max_rel_err <= 1e-4 for r in reports)
-          and elapsed < 120.0)
+    ok = all(r.passed and r.max_rel_err <= 1e-4 for r in reports) and elapsed < 120.0
     _verdict(1, "gradient integrity (ops + 4-frame pipeline, 3 seeds, <2 min)", ok)
 
 
@@ -78,17 +77,18 @@ def test_criterion_2_simplex_and_monotone_gating():
         f_rgb = semantic_map(Tensor(rng.normal(size=dim)), params, "rgb")
         f_lidar = semantic_map(Tensor(rng.normal(size=dim)), params, "lidar")
         r = rng.uniform(0.01, 0.98, size=2)
-        w, _ = fusion_weights(f_rgb, f_lidar, ReliabilityScores(*r), params, beta=1.0)
-        ok &= w.w_rgb > 0 and w.w_lidar > 0
-        ok &= abs(w.w_rgb + w.w_lidar - 1.0) <= 1e-12
+        w_rgb, w_lidar = fusion_weights(f_rgb, f_lidar, ReliabilityScores(*r), params,
+                                        beta=1.0).data
+        ok &= w_rgb > 0 and w_lidar > 0
+        ok &= abs(w_rgb + w_lidar - 1.0) <= 1e-12
         bump = rng.uniform(0.005, 1.0 - r[0])
-        w2, _ = fusion_weights(f_rgb, f_lidar,
-                               ReliabilityScores(r[0] + bump, r[1]), params, beta=1.0)
-        ok &= w2.w_rgb > w.w_rgb
-        w3, _ = fusion_weights(f_rgb, f_lidar,
-                               ReliabilityScores(r[0], min(1.0, r[1] + bump)),
-                               params, beta=1.0)
-        ok &= w3.w_lidar > w.w_lidar
+        w2 = fusion_weights(f_rgb, f_lidar,
+                            ReliabilityScores(r[0] + bump, r[1]), params, beta=1.0)
+        ok &= w2.data[0] > w_rgb
+        w3 = fusion_weights(f_rgb, f_lidar,
+                            ReliabilityScores(r[0], min(1.0, r[1] + bump)),
+                            params, beta=1.0)
+        ok &= w3.data[1] > w_lidar
 
     # end-to-end chain on 100 seeded synthetic frames with fixed parameters:
     # each degradation preset lowers its modality's reliability AND weight
@@ -108,17 +108,14 @@ def test_criterion_2_simplex_and_monotone_gating():
         f_lidar = semantic_map(Tensor(rng.normal(size=8)), params, "lidar")
         r_img = reliability_image(img, tau)
         r_cloud = reliability_cloud(_in_frustum(cloud, calib, cam))
-        base, _ = fusion_weights(f_rgb, f_lidar,
-                                 ReliabilityScores(r_img, r_cloud), params)
+        base = fusion_weights(f_rgb, f_lidar, ReliabilityScores(r_img, r_cloud), params)
         r_dark = reliability_image(degrade_image(img, dark_spec, rng), tau)
-        w_dark, _ = fusion_weights(f_rgb, f_lidar,
-                                   ReliabilityScores(r_dark, r_cloud), params)
-        ok &= r_dark < r_img and w_dark.w_rgb < base.w_rgb
+        w_dark = fusion_weights(f_rgb, f_lidar, ReliabilityScores(r_dark, r_cloud), params)
+        ok &= r_dark < r_img and w_dark.data[0] < base.data[0]
         r_thin = reliability_cloud(_in_frustum(degrade_cloud(cloud, thin_spec, rng),
                                                calib, cam))
-        w_thin, _ = fusion_weights(f_rgb, f_lidar,
-                                   ReliabilityScores(r_img, r_thin), params)
-        ok &= r_thin < r_cloud and w_thin.w_lidar < base.w_lidar
+        w_thin = fusion_weights(f_rgb, f_lidar, ReliabilityScores(r_img, r_thin), params)
+        ok &= r_thin < r_cloud and w_thin.data[1] < base.data[1]
     _verdict(2, "simplex + monotone gating (1000 configs, 100-frame chain)", ok)
 
 
@@ -340,9 +337,10 @@ def test_criterion_9_scenario_report():
     dataset = []
     for name in SCENARIOS:
         world, spec = preset_scenario(name, frames=10)
-        seq = synth_sequence(world, 10, cam, lidar)
-        if not spec.is_neutral():
-            seq = [apply_degradation(lf, spec, rng) for lf in seq]
+        seq = [replace(lf, frame=replace(lf.frame,
+                                         image=degrade_image(lf.frame.image, spec, rng),
+                                         cloud=degrade_cloud(lf.frame.cloud, spec, rng)))
+               for lf in synth_sequence(world, 10, cam, lidar)]
         dataset.append((name, seq))
     model = init_pipeline(small_pipeline_config(), seed=0)
     metrics = evaluate_run(dataset, model)

@@ -226,6 +226,32 @@ def test_non_numeric_pose_is_io_error(tmp_path):
     assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 3
 
 
+# calib.txt line 0 is "P2: <12 values>", line 1 "Tr: <12 values>"; Tr's
+# field 4 is its x translation
+@pytest.mark.parametrize("line, field, value", [(0, 1, "nan"), (0, 6, "inf"), (1, 4, "nan")])
+def test_non_finite_calib_is_io_error(tmp_path, line, field, value):
+    cfg, data = _write_cfg(tmp_path)
+    assert main(["synth", "--config", str(cfg)]) == 0
+    calib = data / "sequences" / "01" / "calib.txt"
+    lines = [text.split() for text in calib.read_text().splitlines()]
+    lines[line][field] = value
+    calib.write_text("\n".join(" ".join(fields) for fields in lines) + "\n")
+    assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 3
+
+
+@pytest.mark.parametrize("text", ["synth: {frames: 1}\n", "synth: {width: 4}\n",
+                                  "seed: -1\n", "train: {seed: -1}\n"])
+def test_bad_synth_config_is_usage_error(tmp_path, text):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text + f"out_dir: {tmp_path / 'out'}\n")
+    assert main(["synth", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("command, seed", [("synth", "-1"), ("gradcheck", "-2")])
+def test_negative_seed_flag_is_usage_error(tmp_path, command, seed):
+    assert main([command, "--seed", seed, "--out", str(tmp_path)]) == 2
+
+
 def test_unknown_command_is_usage_error():
     assert main(["frobnicate"]) == 2
 
@@ -253,6 +279,18 @@ def synth_tree(tmp_path_factory):
     cfg, _ = _write_cfg(root)
     assert main(["synth", "--config", str(cfg)]) == 0
     return cfg
+
+
+@pytest.mark.parametrize("key, value", [("window", 0), ("n_ref", 0), ("hidden_dim", 0),
+                                        ("fusion_dim", -16), ("max_step", 0.0),
+                                        ("depth_max", -1.0), ("tau_img", 0.0)])
+def test_pipeline_out_of_range_is_usage_error(synth_tree, tmp_path, key, value):
+    # on a tree that evaluates: the value alone makes eval exit 2
+    data = yaml.safe_load(synth_tree.read_text())
+    data["pipeline"][key] = value
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(data))
+    assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 2
 
 
 @pytest.mark.parametrize("flag", sorted(_SWITCHED_OFF))

@@ -1,9 +1,9 @@
 """Run configuration parsing and round-trip."""
 
 import pytest
+import yaml
 
-from navfuse.config import (RunConfig, config_from_dict, config_to_dict,
-                            config_to_yaml, load_config)
+from navfuse.config import RunConfig, config_from_dict, config_to_dict, load_config
 from navfuse.errors import ConfigError
 
 
@@ -18,8 +18,8 @@ def test_defaults_carry_training_recipe():
 
 
 def test_yaml_round_trip_idempotent():
-    text = config_to_yaml(RunConfig())
-    again = config_to_yaml(load_config(text))
+    text = yaml.safe_dump(config_to_dict(RunConfig()))
+    again = yaml.safe_dump(config_to_dict(load_config(text)))
     assert text == again
 
 
@@ -84,6 +84,25 @@ def test_shared_values_propagate():
 ])
 def test_wrong_value_type_rejected(text, path):
     with pytest.raises(ConfigError, match=path):
+        load_config(text)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("pipeline: {window: 0}", "window"),
+    ("pipeline: {n_ref: 0}", "n_ref"),
+    ("pipeline: {hidden_dim: 0}", "hidden_dim"),
+    ("pipeline: {fusion_dim: -16}", "fusion_dim"),
+    ("pipeline: {max_step: 0.0}", "max_step"),
+    ("pipeline: {depth_max: -1.0}", "depth_max"),
+    ("pipeline: {tau_img: 0}", "tau_img"),
+    ("seed: -1", "seed"),
+    ("train: {seed: -1}", "train.seed"),
+    ("synth: {frames: 1}", "synth.frames"),
+    ("synth: {width: 4}", "camera"),
+    ("synth: {focal: 0.0}", "camera"),
+])
+def test_out_of_range_value_rejected(text, match):
+    with pytest.raises(ConfigError, match=match):
         load_config(text)
 
 

@@ -138,19 +138,19 @@ def test_semantic_map_grad_check():
 def test_weights_symmetry():
     params = _params()
     f = Tensor(make_rng(5).normal(size=8))
-    w, _ = fusion_weights(f, f, ReliabilityScores(0.7, 0.7), params)
-    assert w.w_rgb == pytest.approx(0.5, abs=1e-12)
-    assert w.w_lidar == pytest.approx(0.5, abs=1e-12)
+    w_rgb, w_lidar = fusion_weights(f, f, ReliabilityScores(0.7, 0.7), params).data
+    assert w_rgb == pytest.approx(0.5, abs=1e-12)
+    assert w_lidar == pytest.approx(0.5, abs=1e-12)
 
 
 def test_weights_zero_content_hand_value():
     # zero-init gate u => content logits vanish; softmax(0, ln 0.5) = (2/3, 1/3)
     params = _params()
     rng = make_rng(6)
-    w, _ = fusion_weights(Tensor(rng.normal(size=8)), Tensor(rng.normal(size=8)),
-                          ReliabilityScores(1.0, 0.5), params, beta=1.0)
-    assert w.w_rgb == pytest.approx(2.0 / 3.0, abs=1e-12)
-    assert w.w_lidar == pytest.approx(1.0 / 3.0, abs=1e-12)
+    w_rgb, w_lidar = fusion_weights(Tensor(rng.normal(size=8)), Tensor(rng.normal(size=8)),
+                                    ReliabilityScores(1.0, 0.5), params, beta=1.0).data
+    assert w_rgb == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert w_lidar == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_weights_halving_reliability_decreases_weight():
@@ -159,10 +159,10 @@ def test_weights_halving_reliability_decreases_weight():
     params.get("fuse.gate_u_rgb").data[:] = make_rng(8).normal(size=8)
     rng = make_rng(9)
     f_rgb, f_lidar = Tensor(rng.normal(size=8)), Tensor(rng.normal(size=8))
-    w_hi, _ = fusion_weights(f_rgb, f_lidar, ReliabilityScores(0.8, 0.8), params)
-    w_lo, _ = fusion_weights(f_rgb, f_lidar, ReliabilityScores(0.8, 0.4), params)
-    assert w_lo.w_lidar < w_hi.w_lidar
-    assert w_lo.w_rgb > w_hi.w_rgb
+    hi_rgb, hi_lidar = fusion_weights(f_rgb, f_lidar, ReliabilityScores(0.8, 0.8), params).data
+    lo_rgb, lo_lidar = fusion_weights(f_rgb, f_lidar, ReliabilityScores(0.8, 0.4), params).data
+    assert lo_lidar < hi_lidar
+    assert lo_rgb > hi_rgb
 
 
 def test_weights_reliability_out_of_range():
@@ -179,10 +179,10 @@ def test_weights_always_simplex(seed, r_rgb, r_lidar):
     rng = make_rng(seed)
     params.get("fuse.gate_u_rgb").data[:] = rng.normal(size=8)
     params.get("fuse.gate_u_lidar").data[:] = rng.normal(size=8)
-    w, _ = fusion_weights(Tensor(rng.normal(size=8)), Tensor(rng.normal(size=8)),
-                          ReliabilityScores(r_rgb, r_lidar), params)
-    assert w.w_rgb > 0 and w.w_lidar > 0
-    assert abs(w.w_rgb + w.w_lidar - 1.0) < 1e-12
+    w_rgb, w_lidar = fusion_weights(Tensor(rng.normal(size=8)), Tensor(rng.normal(size=8)),
+                                    ReliabilityScores(r_rgb, r_lidar), params).data
+    assert w_rgb > 0 and w_lidar > 0
+    assert abs(w_rgb + w_lidar - 1.0) < 1e-12
 
 
 def test_weights_monotone_1000_configs():
@@ -196,11 +196,9 @@ def test_weights_monotone_1000_configs():
         r_lo = rng.uniform(REL_FLOOR, 0.5)
         r_hi = rng.uniform(r_lo + 1e-6, 1.0)
         r_other = rng.uniform(REL_FLOOR, 1.0)
-        w_lo, _ = fusion_weights(f_rgb, f_lidar,
-                                 ReliabilityScores(r_other, r_lo), params, beta=1.0)
-        w_hi, _ = fusion_weights(f_rgb, f_lidar,
-                                 ReliabilityScores(r_other, r_hi), params, beta=1.0)
-        assert w_hi.w_lidar > w_lo.w_lidar, trial
+        w_lo = fusion_weights(f_rgb, f_lidar, ReliabilityScores(r_other, r_lo), params, beta=1.0)
+        w_hi = fusion_weights(f_rgb, f_lidar, ReliabilityScores(r_other, r_hi), params, beta=1.0)
+        assert w_hi.data[1] > w_lo.data[1], trial
 
 
 # -- fuse --------------------------------------------------------------
@@ -252,7 +250,7 @@ def test_fusion_grad_check():
     def f():
         fr = semantic_map(a, params, "rgb")
         fl = semantic_map(b, params, "lidar")
-        _, w = fusion_weights(fr, fl, rel, params)
+        w = fusion_weights(fr, fl, rel, params)
         return T.tsum(T.tanh(fuse(fr, fl, w, rel).vector))
 
     rep = grad_check(f, params, h=1e-6, tol=1e-4)

@@ -85,6 +85,18 @@ def test_calib_missing_key():
         parse_calib("Tr: 1 0 0 0 0 1 0 0 0 0 1 0\n")
 
 
+@pytest.mark.parametrize("text", [
+    "P2: nan 0 50 0 0 100 50 0 0 0 1 0\nTr: 1 0 0 0 0 1 0 0 0 0 1 0\n",
+    "P2: 100 0 50 0 0 inf 50 0 0 0 1 0\nTr: 1 0 0 0 0 1 0 0 0 0 1 0\n",
+    "P2: 100 0 50 0 0 100 50 0 0 0 1 0\nTr: 1 0 0 nan 0 1 0 0 0 0 1 0\n",
+    "P2: 100 0 50 0 0 100 50 0 0 0 1 0\nTr: 1 0 0 0 0 1 0 0 0 0 1 x\n",
+])
+def test_calib_non_finite_or_non_numeric_rejected(text):
+    # the same 3x4 reader as the poses, so the same rejections
+    with pytest.raises(FormatError, match="calibration key"):
+        parse_calib(text)
+
+
 def test_calib_roundtrip():
     rng = make_rng(2)
     theta = rng.uniform(-np.pi, np.pi)
@@ -287,7 +299,9 @@ def _labeled_fixture():
 
 def test_augment_neutral_identity():
     lf = _labeled_fixture()
-    out = augment_frame(lf, make_rng(0), AugmentPolicy.neutral(), force_flip=False)
+    policy = AugmentPolicy(flip_prob=0.0, brightness_scale=(1.0, 1.0),
+                           brightness_shift=(0.0, 0.0), yaw_deg=0.0, jitter_sigma=0.0)
+    out = augment_frame(lf, make_rng(0), policy)
     np.testing.assert_array_equal(out.frame.image.pixels, lf.frame.image.pixels)
     np.testing.assert_allclose(out.frame.cloud.points, lf.frame.cloud.points, atol=1e-12)
     np.testing.assert_array_equal(out.waypoint, lf.waypoint)
@@ -296,15 +310,19 @@ def test_augment_neutral_identity():
 
 def test_augment_forced_flip_sign_rule():
     lf = _labeled_fixture()
-    out = augment_frame(lf, make_rng(0), AugmentPolicy.neutral(), force_flip=True)
+    policy = AugmentPolicy(flip_prob=1.0, brightness_scale=(1.0, 1.0),
+                           brightness_shift=(0.0, 0.0), yaw_deg=0.0, jitter_sigma=0.0)
+    out = augment_frame(lf, make_rng(0), policy)
     np.testing.assert_array_equal(out.waypoint, [4.0, -1.0])
     assert out.ego_delta[0] == -lf.ego_delta[0]
 
 
 def test_augment_double_flip_involution():
     lf = _labeled_fixture()
-    once = augment_frame(lf, make_rng(0), AugmentPolicy.neutral(), force_flip=True)
-    twice = augment_frame(once, make_rng(0), AugmentPolicy.neutral(), force_flip=True)
+    policy = AugmentPolicy(flip_prob=1.0, brightness_scale=(1.0, 1.0),
+                           brightness_shift=(0.0, 0.0), yaw_deg=0.0, jitter_sigma=0.0)
+    once = augment_frame(lf, make_rng(0), policy)
+    twice = augment_frame(once, make_rng(0), policy)
     np.testing.assert_array_equal(twice.frame.image.pixels, lf.frame.image.pixels)
     np.testing.assert_allclose(twice.frame.cloud.points, lf.frame.cloud.points, atol=1e-12)
     np.testing.assert_array_equal(twice.waypoint, lf.waypoint)
@@ -323,7 +341,7 @@ def test_augment_brightness_formula():
     lf = _labeled_fixture()
     policy = AugmentPolicy(flip_prob=0.0, brightness_scale=(1.1, 1.1),
                            brightness_shift=(5.0, 5.0), yaw_deg=0.0, jitter_sigma=0.0)
-    out = augment_frame(lf, make_rng(0), policy, force_flip=False)
+    out = augment_frame(lf, make_rng(0), policy)
     expect = np.clip(1.1 * (lf.frame.image.pixels.astype(float) - 128) + 128 + 5,
                      0, 255).astype(np.uint8)
     np.testing.assert_array_equal(out.frame.image.pixels, expect)

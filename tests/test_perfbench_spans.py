@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import navfuse.tensor
 import navfuse.train
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -20,6 +21,14 @@ def _load_spans():
 def test_every_traced_span_resolves():
     missing = [f"{module}.{attr}" for module, attr, _ in _load_spans().SPANS
                if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert missing == []
+
+
+def test_every_counted_tensor_op_resolves():
+    # the tracer looks each op up by name on entry, so deleting one breaks
+    # every traced run
+    missing = [op for op in _load_spans().TENSOR_OPS
+               if not callable(getattr(navfuse.tensor, op, None))]
     assert missing == []
 
 

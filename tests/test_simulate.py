@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
+from navfuse.cli import main
 from navfuse.errors import ConfigError
 from navfuse.fusion import init_fusion_params, fusion_weights, semantic_map, \
     reliability_cloud, reliability_image, ReliabilityScores
 from navfuse.geometry import lidar_to_camera, project_points
-from navfuse.kitti import CalibrationSet, Image, PointCloud
+from navfuse.kitti import CalibrationSet, Image, PointCloud, load_sequences
 from navfuse.params import ParamRegistry, make_rng
 from navfuse.simulate import (SCENARIOS, Box, CameraConfig, DegradationSpec,
-                              LidarConfig, World, apply_degradation, degrade_cloud,
+                              LidarConfig, World, degrade_cloud,
                               degrade_image, make_trajectory, preset_scenario,
                               render_frame, scan_frame, synth_sequence)
 from navfuse.tensor import Tensor
@@ -159,7 +160,7 @@ def test_degradation_spec_validation():
 
 def test_standard_preset_neutral():
     _, spec = preset_scenario("standard")
-    assert spec.is_neutral()
+    assert spec == DegradationSpec()
 
 
 def test_unknown_preset():
@@ -169,7 +170,7 @@ def test_unknown_preset():
 
 def test_dynamic_preset_moves_boxes():
     world, spec = preset_scenario("dynamic", frames=4)
-    assert spec.is_neutral()
+    assert spec == DegradationSpec()
     a = render_frame(world, 0, CameraConfig())
     b = render_frame(world, 3, CameraConfig())
     assert not np.array_equal(a.pixels, b.pixels)
@@ -218,26 +219,34 @@ def test_degradation_lowers_fusion_weight():
 
     r_img = reliability_image(img, tau)
     r_cloud = reliability_cloud(_in_frustum(cloud, calib, 64, 64))
-    base, _ = fusion_weights(f_rgb, f_lidar, ReliabilityScores(r_img, r_cloud), params)
+    base_rgb, base_lidar = fusion_weights(f_rgb, f_lidar, ReliabilityScores(r_img, r_cloud),
+                                          params).data
 
     _, low_light = preset_scenario("low_light")
     r_dark = reliability_image(degrade_image(img, low_light, make_rng(3)), tau)
     assert r_dark < r_img
-    w, _ = fusion_weights(f_rgb, f_lidar, ReliabilityScores(r_dark, r_cloud), params)
-    assert w.w_rgb < base.w_rgb
+    w_rgb, _ = fusion_weights(f_rgb, f_lidar, ReliabilityScores(r_dark, r_cloud), params).data
+    assert w_rgb < base_rgb
 
     _, lidar_bad = preset_scenario("lidar_degraded")
     r_thin = reliability_cloud(_in_frustum(degrade_cloud(cloud, lidar_bad, make_rng(4)),
                                            calib, 64, 64))
     assert r_thin < r_cloud
-    w, _ = fusion_weights(f_rgb, f_lidar, ReliabilityScores(r_img, r_thin), params)
-    assert w.w_lidar < base.w_lidar
+    _, w_lidar = fusion_weights(f_rgb, f_lidar, ReliabilityScores(r_img, r_thin), params).data
+    assert w_lidar < base_lidar
 
 
-def test_apply_degradation_preserves_labels():
-    world, spec = preset_scenario("low_light", frames=3)
+def test_synth_degradation_preserves_labels(tmp_path):
+    # `navfuse synth` degrades the sensor data it writes; the labels read
+    # back from the tree are those of the clean sequence
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"out_dir: {tmp_path}\nsynth: {{scenarios: [low_light], frames: 3}}\n")
+    assert main(["synth", "--config", str(cfg)]) == 0
+    out = load_sequences(tmp_path)[0]
+    world, _ = preset_scenario("low_light", frames=3)
     seq = synth_sequence(world, 3, CameraConfig(), LidarConfig())
-    out = apply_degradation(seq[0], spec, make_rng(9))
-    np.testing.assert_array_equal(out.waypoint, seq[0].waypoint)
-    np.testing.assert_array_equal(out.ego_delta, seq[0].ego_delta)
-    assert not np.array_equal(out.frame.image.pixels, seq[0].frame.image.pixels)
+    assert len(out) == len(seq) == 2
+    for got, clean in zip(out, seq):
+        np.testing.assert_array_equal(got.waypoint, clean.waypoint)
+        np.testing.assert_array_equal(got.ego_delta, clean.ego_delta)
+        assert not np.array_equal(got.frame.image.pixels, clean.frame.image.pixels)

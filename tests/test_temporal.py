@@ -1,5 +1,7 @@
 """Temporal modeling, decision head, and the composed pipeline step."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,8 @@ from navfuse.fusion import REL_FLOOR
 from navfuse.geometry import Z_NEAR_DEFAULT, project_points
 from navfuse.pipeline import (PipelineConfig, init_pipeline, initial_state, pipeline_step,
                               rollout)
-from navfuse.simulate import (CameraConfig, DegradationSpec, LidarConfig, apply_degradation,
-                              preset_scenario, synth_sequence)
+from navfuse.simulate import (CameraConfig, DegradationSpec, LidarConfig, degrade_cloud,
+                              degrade_image, preset_scenario, synth_sequence)
 from navfuse.temporal import (decision_forward, init_decision_params,
                               init_recurrent_params, init_temporal_attention_params,
                               nav_loss, recurrent_step, temporal_attention,
@@ -215,15 +217,16 @@ def test_pipeline_bitwise_deterministic():
 def test_pipeline_causality():
     cfg = small_pipeline_config()
     model = init_pipeline(cfg, seed=0)
-    frames = small_synth_frames(5)
+    frames = [lf.frame for lf in small_synth_frames(5)]
     spec = DegradationSpec(brightness_scale=0.3, cloud_jitter_sigma=0.05)
-    tampered = [apply_degradation(lf, spec, make_rng(99)) for lf in frames]
+    tampered = [replace(f, image=degrade_image(f.image, spec, make_rng(99)),
+                        cloud=degrade_cloud(f.cloud, spec, make_rng(99))) for f in frames]
 
     def run(seq):
         # the zero-initialised head outputs 0 for every frame; the hidden
         # state shows what each output could depend on
         return [np.concatenate([res.nav.waypoint, res.state.hidden.data])
-                for res, _ in rollout(model, [lf.frame for lf in seq])]
+                for res, _ in rollout(model, seq)]
 
     base = run(frames)
     # perturbing only the future must not change earlier outputs

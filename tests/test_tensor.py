@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from navfuse import tensor as T
 from navfuse.errors import ContractError, DimensionError, NumericError
 from navfuse.gradcheck import grad_check
 from navfuse.params import ParamRegistry, linear, make_rng, register_linear
+from navfuse.pipeline import init_pipeline, initial_state, pipeline_step
+from navfuse.verify import OP_CLOSURES, small_pipeline_config, small_synth_frames
 
 
 def scalar_loss(t):
@@ -320,3 +324,34 @@ def test_dropout_grad_check_fixed_mask():
 
     rep = grad_check(f, params, h=1e-6, tol=1e-4)
     assert rep.passed, rep.max_rel_err
+
+
+def _gradcheck_row(op, args, kwargs):
+    """The verify.OP_CLOSURES row that checks one call of a navfuse.tensor op."""
+    if op == "matmul" and np.ndim(getattr(args[0], "data", args[0])) == 1:
+        return "matmul_vec"
+    if op == "conv2d" and kwargs.get("stride", args[2] if len(args) > 2 else 1) != 1:
+        return "conv2d_stride2"
+    return {"tsum": "sum", "tmean": "mean"}.get(op, op)
+
+
+def test_every_op_a_training_step_runs_has_a_gradcheck_row(monkeypatch):
+    # wrap each op at its module attribute, where every caller looks it up
+    # (Tensor.__getitem__ and .T too), as the traced benchmark does
+    ops = [name for name, fn in vars(T).items()
+           if inspect.isfunction(fn) and fn.__module__ == T.__name__
+           and not name.startswith("_") and name not in ("no_grad", "assert_finite")]
+    seen = set()
+    for op in ops:
+        def counted(*args, _op=op, _fn=getattr(T, op), **kwargs):
+            seen.add(_gradcheck_row(_op, args, kwargs))
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(T, op, counted)
+
+    model = init_pipeline(small_pipeline_config(), seed=0)
+    lf = small_synth_frames(3)[0]
+    res = pipeline_step(lf.frame, initial_state(model.cfg), model, mode="train",
+                        rng=make_rng(0), label=lf)
+    res.loss.backward()
+    assert {"take", "matmul_vec", "conv2d_stride2", "dropout"} <= seen
+    assert seen - {name for name, _ in OP_CLOSURES} == set()
