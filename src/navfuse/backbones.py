@@ -28,8 +28,13 @@ class RgbBranchConfig:
     def validate(self):
         if len(self.stage_channels) != len(self.strides):
             raise ConfigError("stage_channels and strides must have equal length")
+        if not self.stage_channels or any(c < 1 for c in self.stage_channels):
+            raise ConfigError("stage_channels must be a non-empty list of values >= 1")
         if any(s < 1 for s in self.strides):
             raise ConfigError("strides must be >= 1")
+        for name in ("attn_heads", "attn_dim", "out_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.attn_dim % self.attn_heads != 0:
             raise ConfigError("attn_dim must be divisible by attn_heads")
         return self
@@ -46,10 +51,14 @@ class PointBranchConfig:
     out_dim: int = 64
 
     def validate(self):
-        if not (self.centroids_min <= self.centroids_max <= self.input_budget):
-            raise ConfigError("need centroids_min <= centroids_max <= input_budget")
+        if not (1 <= self.centroids_min <= self.centroids_max <= self.input_budget):
+            raise ConfigError("need 1 <= centroids_min <= centroids_max <= input_budget")
         if self.radius <= 0:
             raise ConfigError("radius must be > 0")
+        if self.group_cap < 1 or self.out_dim < 1:
+            raise ConfigError("group_cap and out_dim must be >= 1")
+        if not self.mlp_dims or any(d < 1 for d in self.mlp_dims):
+            raise ConfigError("mlp_dims must be a non-empty list of values >= 1")
         return self
 
 
@@ -249,9 +258,7 @@ def group_and_encode(cloud_cam: PointCloud, centroids: list[int],
     any_valid = valid.any(axis=1)
     weights = T.softmax(scores, axis=1)
     weights = T.mul(weights, Tensor(any_valid[:, None].astype(np.float64)))
-    feats3 = T.reshape(x, (m, cap, d_out))
-    pooled = T.tsum(T.mul(feats3, T.reshape(weights, (m, cap, 1))), axis=1)
-    return pooled
+    return T.weighted_sum(T.reshape(x, (m, cap, d_out)), weights, axis=1)
 
 
 def point_forward(cloud_cam: PointCloud, cfg: PointBranchConfig,
@@ -268,14 +275,17 @@ def point_forward(cloud_cam: PointCloud, cfg: PointBranchConfig,
             raise ContractError("subsampling above input_budget needs an explicit rng")
         idx = np.sort(rng.choice(n, size=cfg.input_budget, replace=False))
         work = PointCloud(points=cloud_cam.points[idx])
+        centroids = fps_sample(work, k)
     else:
         reps = np.resize(np.arange(n), cfg.input_budget)
         work = PointCloud(points=cloud_cam.points[reps])
-    centroids = fps_sample(work, k)
+        # the padded cloud starts with the original rows, and FPS never picks
+        # a repeat before its original, so the indices hold in both
+        centroids = fps_sample(cloud_cam, k)
     grouped = group_and_encode(work, centroids, cfg, params)
     scores = T.matmul(grouped, params.get("point.global_score.w"))
     weights = T.softmax(T.reshape(scores, (len(centroids),)))
-    pooled = T.tsum(T.mul(grouped, T.reshape(weights, (len(centroids), 1))), axis=0)
+    pooled = T.weighted_sum(grouped, weights, axis=0)
     vector = linear(pooled, params, "point.out")
     T.assert_finite(vector, "point branch output")
     return vector

@@ -50,6 +50,7 @@ class SynthConfig:
             if s not in SCENARIOS:
                 raise ConfigError(f"unknown scenario {s!r}")
         self.camera().validate()
+        self.lidar().validate()
         return self
 
 

@@ -82,7 +82,7 @@ def register_linear(params: ParamRegistry, rng, prefix: str, d_in: int, d_out: i
 def linear(x: Tensor, params: ParamRegistry, prefix: str) -> Tensor:
     """x @ W + b with the weight and bias register_linear put under prefix;
     x is one d_in vector or an N x d_in matrix of rows."""
-    return T.add(T.matmul(x, params.get(prefix + ".w")), params.get(prefix + ".b"))
+    return T.linear(x, params.get(prefix + ".w"), params.get(prefix + ".b"))
 
 
 def register_conv(params: ParamRegistry, rng, prefix: str, c_in: int, c_out: int, k: int):

@@ -65,6 +65,11 @@ class LidarConfig:
     # translation-only LiDAR->camera offset keeps the frame change exactly invertible
     offset: np.ndarray = field(default_factory=lambda: np.array([0.0, -0.08, -0.27]))
 
+    def validate(self):
+        if self.n_azimuth < 1 or self.n_elevation < 1:
+            raise ConfigError("n_azimuth and n_elevation must be >= 1")
+        return self
+
     def transform(self) -> np.ndarray:
         tr = np.eye(4)
         tr[:3, 3] = self.offset

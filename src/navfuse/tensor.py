@@ -2,11 +2,19 @@
 
 The tape is define-by-run: every op that touches a gradient-requiring
 tensor records a backward closure on its output node. ``backward`` on a
-scalar walks the graph once in reverse topological order, accumulates
-``+=`` into ``grad`` slots, then frees the tape. Leaf grads stay, so
-training calls ``backward`` on each chunk's loss as soon as it is built and
-the gradients add up over the batch: only one chunk's graph is alive at a
-time.
+scalar walks the graph once in reverse topological order, accumulates into
+``grad`` slots, then frees the tape. Leaf grads stay, so training calls
+``backward`` on each chunk's loss as soon as it is built and the gradients
+add up over the batch: only one chunk's graph is alive at a time.
+
+An inner node borrows its first incoming gradient array when that array has
+the node's own strides, so a gradient passed straight through (an add, a
+contiguous reshape) costs no copy. Any other first gradient, and every
+leaf's, is copied into a fresh array laid out like the node's data; a leaf
+adds later gradients in place, an inner node into a new array, since its
+slot may be shared. Each closure also notes at record time which operands
+are on the tape, and computes no gradient for constants (group features,
+the image input, masks).
 
 Inside ``no_grad()`` no op records: outputs carry no closure, mask or
 parents, and forward values are unchanged. A pipeline step without a label
@@ -47,9 +55,17 @@ class Tensor:
     # -- grad plumbing -------------------------------------------------
 
     def _accumulate(self, g: np.ndarray):
+        # same bits as zeros_like + g, -0.0 aside; a borrowed view must share
+        # the data's strides, or later reductions sum in another memory order
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            if not self.requires_grad and g.strides == self.data.strides:
+                self.grad = g
+            else:
+                self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        elif self.requires_grad:
+            self.grad += g
+        else:
+            self.grad = np.add(self.grad, g, out=np.empty_like(self.data))
 
     def backward(self):
         """Backpropagate from a scalar; accumulates into grad slots and clears the tape."""
@@ -116,8 +132,12 @@ def no_grad():
         _recording = previous
 
 
-def _on_tape(*ts: Tensor) -> bool:
-    return _recording and any(t.requires_grad or t._backward_fn is not None for t in ts)
+def _on_tape(*ts: Tensor) -> tuple[bool, ...] | None:
+    """Per operand, whether it is on the tape; None when the op records nothing."""
+    if not _recording:
+        return None
+    need = tuple(t.requires_grad or t._backward_fn is not None for t in ts)
+    return need if any(need) else None
 
 
 def _record(out: Tensor, parents: tuple, bwd) -> None:
@@ -144,10 +164,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     out = Tensor(a.data + b.data)
-    if _on_tape(a, b):
+    need = _on_tape(a, b)
+    if need:
+        need_a, need_b = need
         def bwd(g):
-            a._accumulate(_unbroadcast(g, a.data.shape))
-            b._accumulate(_unbroadcast(g, b.data.shape))
+            if need_a:
+                a._accumulate(_unbroadcast(g, a.data.shape))
+            if need_b:
+                b._accumulate(_unbroadcast(g, b.data.shape))
         _record(out, (a, b), bwd)
     return out
 
@@ -155,10 +179,14 @@ def add(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     out = Tensor(a.data * b.data)
-    if _on_tape(a, b):
+    need = _on_tape(a, b)
+    if need:
+        need_a, need_b = need
         def bwd(g):
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+            if need_a:
+                a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+            if need_b:
+                b._accumulate(_unbroadcast(g * a.data, b.data.shape))
         _record(out, (a, b), bwd)
     return out
 
@@ -288,12 +316,14 @@ def take(a, idx) -> Tensor:
 def concat(tensors, axis=0) -> Tensor:
     tensors = [_wrap(t) for t in tensors]
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    if _on_tape(*tensors):
+    need = _on_tape(*tensors)
+    if need:
         sizes = [t.data.shape[axis] for t in tensors]
         splits = np.cumsum(sizes)[:-1]
         def bwd(g):
-            for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-                t._accumulate(piece)
+            for t, piece, need_t in zip(tensors, np.split(g, splits, axis=axis), need):
+                if need_t:
+                    t._accumulate(piece)
         _record(out, tuple(tensors), bwd)
     return out
 
@@ -301,21 +331,74 @@ def concat(tensors, axis=0) -> Tensor:
 # -- matmul / softmax --------------------------------------------------
 
 
-def matmul(a, b) -> Tensor:
-    """a @ b for a matrix b; a is a matrix, or a vector that acts as one row:
-    (d,) @ (d, k) gives (k,)."""
-    a, b = _wrap(a), _wrap(b)
+def _check_matmul(a: Tensor, b: Tensor) -> None:
     if a.data.ndim not in (1, 2) or b.data.ndim != 2:
         raise DimensionError(f"matmul expects a 1-D or 2-D left and a 2-D right operand, "
                              f"got {a.data.shape} and {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[0]:
         raise DimensionError(f"matmul inner dims differ: {a.data.shape} vs {b.data.shape}")
+
+
+def _matmul_grads(a: Tensor, b: Tensor, g: np.ndarray, need_a: bool, need_b: bool) -> None:
+    if need_a:
+        a._accumulate(g @ b.data.T)
+    if need_b:
+        b._accumulate(np.atleast_2d(a.data).T @ np.atleast_2d(g))
+
+
+def matmul(a, b) -> Tensor:
+    """a @ b for a matrix b; a is a matrix, or a vector that acts as one row:
+    (d,) @ (d, k) gives (k,)."""
+    a, b = _wrap(a), _wrap(b)
+    _check_matmul(a, b)
     out = Tensor(a.data @ b.data)
-    if _on_tape(a, b):
+    need = _on_tape(a, b)
+    if need:
         def bwd(g):
-            a._accumulate(g @ b.data.T)
-            b._accumulate(np.atleast_2d(a.data).T @ np.atleast_2d(g))
+            _matmul_grads(a, b, g, *need)
         _record(out, (a, b), bwd)
+    return out
+
+
+def linear(x, w, b) -> Tensor:
+    """x @ w + b as one tape node; x is a matrix of rows or one vector, as in
+    matmul, and b a (k,) bias."""
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    _check_matmul(x, w)
+    y = x.data @ w.data
+    y += b.data
+    out = Tensor(y)
+    need = _on_tape(x, w, b)
+    if need:
+        need_x, need_w, need_b = need
+        def bwd(g):
+            if need_b:
+                b._accumulate(_unbroadcast(g, b.data.shape))
+            _matmul_grads(x, w, g, need_x, need_w)
+        _record(out, (x, w, b), bwd)
+    return out
+
+
+def weighted_sum(x, w, axis: int) -> Tensor:
+    """Sum of the rows of x weighted by w along axis: (x * w[..., None]).sum(axis),
+    where w has the shape of x without its last (feature) axis."""
+    x, w = _wrap(x), _wrap(w)
+    if x.data.shape[:-1] != w.data.shape or not 0 <= axis < w.data.ndim:
+        raise DimensionError(f"weighted_sum needs weights shaped like x without its last "
+                             f"axis and a weight axis, got {x.data.shape}, "
+                             f"{w.data.shape} and axis {axis}")
+    w3 = w.data[..., None]
+    out = Tensor((x.data * w3).sum(axis))
+    need = _on_tape(x, w)
+    if need:
+        need_x, need_w = need
+        def bwd(g):
+            gb = np.expand_dims(g, axis)
+            if need_x:
+                x._accumulate(gb * w3)
+            if need_w:
+                w._accumulate((gb * x.data).sum(-1))
+        _record(out, (x, w), bwd)
     return out
 
 
@@ -386,12 +469,15 @@ def conv2d(x, kernels, stride: int = 1, pad: int = 0) -> Tensor:
     cols, ho, wo = _im2col(x.data, k, stride, pad)
     w2d = kernels.data.reshape(f, c * k * k)
     out = Tensor((w2d @ cols).reshape(f, ho, wo))
-    if _on_tape(x, kernels):
+    need = _on_tape(x, kernels)
+    if need:
+        need_x, need_k = need
         def bwd(g):
             g2d = g.reshape(f, ho * wo)
-            kernels._accumulate((g2d @ cols.T).reshape(kernels.data.shape))
-            gcols = w2d.T @ g2d
-            x._accumulate(_col2im(gcols, c, h, w, k, stride, pad))
+            if need_k:
+                kernels._accumulate((g2d @ cols.T).reshape(kernels.data.shape))
+            if need_x:
+                x._accumulate(_col2im(w2d.T @ g2d, c, h, w, k, stride, pad))
         _record(out, (x, kernels), bwd)
     return out
 
@@ -424,18 +510,21 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x.data - mean) * inv_std
     out = Tensor(xhat * gamma.data + beta.data)
-    if _on_tape(x, gamma, beta):
+    need = _on_tape(x, gamma, beta)
+    if need:
+        need_x, need_gamma, need_beta = need
         def bwd(g):
-            gamma._accumulate((g * xhat).sum(axis=0))
-            beta._accumulate(g.sum(axis=0))
-            gx = g * gamma.data
-            if training:
-                dxhat = gx
-                gx_in = inv_std / n * (
-                    n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
-                x._accumulate(gx_in)
-            else:
-                x._accumulate(gx * inv_std)
+            if need_gamma:
+                gamma._accumulate((g * xhat).sum(axis=0))
+            if need_beta:
+                beta._accumulate(g.sum(axis=0))
+            if need_x:
+                gx = g * gamma.data
+                if training:
+                    x._accumulate(inv_std / n * (
+                        n * gx - gx.sum(axis=0) - xhat * (gx * xhat).sum(axis=0)))
+                else:
+                    x._accumulate(gx * inv_std)
         _record(out, (x, gamma, beta), bwd)
     return out
 

@@ -38,6 +38,12 @@ OP_CLOSURES = [
     ("concat", lambda p: T.tsum(T.tanh(T.concat([p["vec"], p["vec"]], axis=0)))),
     ("matmul", lambda p: T.tsum(T.tanh(T.matmul(p["a2"], p["b2"])))),
     ("matmul_vec", lambda p: T.tsum(T.tanh(T.matmul(p["row"], p["b2"])))),
+    ("linear", lambda p: T.tsum(T.tanh(T.linear(p["a2"], p["b2"], p["bias"])))),
+    ("linear_vec", lambda p: T.tsum(T.tanh(T.linear(p["row"], p["b2"], p["bias"])))),
+    # both pooling shapes of the point branch: over a group's slots and over groups
+    ("weighted_sum", lambda p: T.add(
+        T.tsum(T.tanh(T.weighted_sum(p["img"], p["wts"], axis=1))),
+        T.tsum(T.tanh(T.weighted_sum(p["img"], p["wts"], axis=0))))),
     ("softmax", lambda p: T.tsum(T.mul(T.softmax(p["vec"]), p["vec"]))),
     ("conv2d", lambda p: T.tsum(T.tanh(T.conv2d(p["img"], p["ker"], stride=1, pad=1)))),
     # the RGB branch's strided conv; img is 5-7 x 6, so its output sizes come
@@ -68,6 +74,8 @@ def run_op_checks(seeds=(0, 1, 2)) -> dict[str, GradCheckReport]:
                 "ker": params.register("ker", rng.normal(size=(3, 2, 3, 3))),
                 "gamma": params.register("gamma", rng.normal(size=(4,))),
                 "beta": params.register("beta", rng.normal(size=(4,))),
+                "bias": params.register("bias", rng.normal(size=(2 + seed,))),
+                "wts": params.register("wts", rng.normal(size=(2, 5 + seed))),
             }
             report.record(grad_check(lambda: fn(tensors), params, h=H, tol=TOL).max_rel_err)
     return results

@@ -9,9 +9,12 @@ from navfuse.backbones import (PointBranchConfig, RgbBranchConfig, attention_blo
                                init_attention_params, init_point_params,
                                init_rgb_params, point_forward, rgb_forward)
 from navfuse.errors import ConfigError, ContractError, DimensionError
+from navfuse.geometry import lidar_to_camera
 from navfuse.gradcheck import grad_check
 from navfuse.kitti import Image, PointCloud
 from navfuse.params import ParamRegistry, make_rng
+from navfuse.simulate import (SCENARIOS, CameraConfig, LidarConfig, degrade_cloud,
+                              preset_scenario, synth_sequence)
 from navfuse.tensor import Tensor
 
 
@@ -198,6 +201,23 @@ def test_fps_distinct_points_distinct_choices():
     cloud = _cloud(make_rng(6).normal(size=(30, 3)))
     idx = fps_sample(cloud, 10)
     assert len(set(idx)) == 10
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_fps_on_unpadded_cloud_picks_the_padded_centroids(scenario):
+    # point_forward samples the cloud before padding it to the budget; a
+    # repeat ties with its original and loses, so the lists must match
+    cfg = PointBranchConfig()
+    world, spec = preset_scenario(scenario, frames=21)
+    frames = synth_sequence(world, 21, CameraConfig(), LidarConfig())
+    rng = make_rng(3)
+    for lf in frames[::5]:
+        cloud = lidar_to_camera(degrade_cloud(lf.frame.cloud, spec, rng), lf.frame.calib)
+        n = len(cloud)
+        assert n < cfg.input_budget
+        padded = PointCloud(points=cloud.points[np.resize(np.arange(n), cfg.input_budget)])
+        k = dynamic_sample_count(cloud, cfg)
+        assert fps_sample(cloud, k) == fps_sample(padded, k)
 
 
 # -- grouping ----------------------------------------------------------

@@ -209,14 +209,6 @@ def test_missing_dataset_root_is_usage_error(tmp_path):
     assert main(["train", "--config", str(cfg)]) == 2
 
 
-@pytest.mark.parametrize("text", ["train: {batch_size: abc}\n", "train: {lr_init: fast}\n",
-                                  "pipeline: {rgb: {strides: 3}}\n",
-                                  "synth: {scenarios: 3}\n",
-                                  "data: {max_step: 3.0}\n"])
-def test_bad_config_value_is_usage_error(tmp_path, text):
-    cfg = tmp_path / "bad.yaml"
-    cfg.write_text(text)
-    assert main(["train", "--config", str(cfg)]) == 2
 
 
 def test_non_numeric_pose_is_io_error(tmp_path):
@@ -240,6 +232,7 @@ def test_non_finite_calib_is_io_error(tmp_path, line, field, value):
 
 
 @pytest.mark.parametrize("text", ["synth: {frames: 1}\n", "synth: {width: 4}\n",
+                                  "synth: {n_azimuth: 0}\n", "synth: {n_elevation: 0}\n",
                                   "seed: -1\n", "train: {seed: -1}\n"])
 def test_bad_synth_config_is_usage_error(tmp_path, text):
     cfg = tmp_path / "bad.yaml"
@@ -288,6 +281,56 @@ def test_pipeline_out_of_range_is_usage_error(synth_tree, tmp_path, key, value):
     # on a tree that evaluates: the value alone makes eval exit 2
     data = yaml.safe_load(synth_tree.read_text())
     data["pipeline"][key] = value
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(data))
+    assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 2
+
+
+def _merged(base: dict, update: dict) -> dict:
+    out = dict(base)
+    for key, value in update.items():
+        nested = isinstance(value, dict) and isinstance(base.get(key), dict)
+        out[key] = _merged(base[key], value) if nested else value
+    return out
+
+
+def _train_with(synth_tree, tmp_path, text: str) -> int:
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(_merged(yaml.safe_load(synth_tree.read_text()),
+                                          yaml.safe_load(text))))
+    return main(["train", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                 "--epochs", "1"])
+
+
+# on a tree that trains, so the value alone makes train exit 2
+@pytest.mark.parametrize("text", ["train: {batch_size: abc}\n", "train: {lr_init: fast}\n",
+                                  "pipeline: {rgb: {strides: 3}}\n",
+                                  "synth: {scenarios: 3}\n",
+                                  "data: {max_step: 3.0}\n"])
+def test_bad_config_value_is_usage_error(synth_tree, tmp_path, text):
+    assert _train_with(synth_tree, tmp_path, text) == 2
+
+
+def test_valid_config_value_trains(synth_tree, tmp_path):
+    # the control for the test above: a valid value in the same place trains
+    assert _train_with(synth_tree, tmp_path, "train: {batch_size: 4}\n") == 0
+
+
+_BRANCH_VALUES = [
+    ("point", "group_cap", 0), ("point", "centroids_min", 0), ("point", "mlp_dims", []),
+    ("point", "mlp_dims", [8, 0]), ("point", "out_dim", 0),
+    ("rgb", "attn_heads", 0), ("rgb", "attn_dim", 0), ("rgb", "out_dim", 0),
+    ("rgb", "stage_channels", [4, 0]), ("rgb", "stage_channels", []),
+]
+
+
+@pytest.mark.parametrize("branch, key, value", _BRANCH_VALUES,
+                         ids=[f"{b}.{k}={v}" for b, k, v in _BRANCH_VALUES])
+def test_branch_out_of_range_is_usage_error(synth_tree, tmp_path, branch, key, value):
+    data = yaml.safe_load(synth_tree.read_text())
+    data["pipeline"][branch][key] = value
+    if (branch, key, value) == ("rgb", "stage_channels", []):
+        data["pipeline"]["rgb"]["strides"] = []
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(yaml.safe_dump(data))
     assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 2

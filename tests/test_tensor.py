@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from navfuse import tensor as T
 from navfuse.errors import ContractError, DimensionError, NumericError
 from navfuse.gradcheck import grad_check
+from navfuse.optim import clip_global_norm
 from navfuse.params import ParamRegistry, linear, make_rng, register_linear
 from navfuse.pipeline import init_pipeline, initial_state, pipeline_step
 from navfuse.verify import OP_CLOSURES, small_pipeline_config, small_synth_frames
@@ -72,6 +73,83 @@ def test_linear_vector_bitwise_equals_row_form(d_in, d_out):
         out = linear(x, params, "fc")
         assert out.shape == (d_out,)
         assert np.array_equal(out.data, T.reshape(row, (d_out,)).data)
+
+
+# the point branch's dense layers at desk scale (180 groups x 32 slots) and
+# its output layer, x_shape -> d_out
+@pytest.mark.parametrize("x_shape,d_out", [((5760, 5), 32), ((5760, 32), 64), ((192,), 64)])
+def test_linear_node_bitwise_equals_matmul_then_add(x_shape, d_out):
+    rng = make_rng(x_shape[-1] * 1000 + d_out)
+    x0, w0, b0 = (rng.normal(size=s) for s in (x_shape, (x_shape[-1], d_out), (d_out,)))
+    upstream = rng.normal(size=x_shape[:-1] + (d_out,))
+
+    def run(layer):
+        x, w, b = (T.Tensor(v.copy(), requires_grad=True) for v in (x0, w0, b0))
+        y = layer(x, w, b)
+        T.tsum(T.mul(y, upstream)).backward()
+        return y.data, x.grad, w.grad, b.grad
+
+    one_node = run(T.linear)
+    two_nodes = run(lambda x, w, b: T.add(T.matmul(x, w), b))
+    for got, want in zip(one_node, two_nodes):
+        assert got.tobytes() == want.tobytes()
+
+
+# group pooling (m x cap x d over the slots) and global pooling (m x d over groups)
+@pytest.mark.parametrize("x_shape,axis", [((180, 32, 64), 1), ((180, 64), 0)])
+def test_weighted_sum_bitwise_equals_mul_then_sum(x_shape, axis):
+    rng = make_rng(len(x_shape))
+    x0, w0 = rng.normal(size=x_shape), rng.normal(size=x_shape[:-1])
+    upstream = rng.normal(size=x_shape[:axis] + x_shape[axis + 1:])
+
+    def run(pool):
+        x, w = T.Tensor(x0.copy(), requires_grad=True), T.Tensor(w0.copy(), requires_grad=True)
+        y = pool(x, w)
+        T.tsum(T.mul(y, upstream)).backward()
+        return y.data, x.grad, w.grad
+
+    one_node = run(lambda x, w: T.weighted_sum(x, w, axis))
+    three_nodes = run(lambda x, w: T.tsum(T.mul(x, T.reshape(w, w0.shape + (1,))), axis=axis))
+    for got, want in zip(one_node, three_nodes):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("x_shape,w_shape,axis", [((4, 3, 2), (4, 2), 1), ((4, 3), (4,), 1),
+                                                  ((4, 3), (4,), -1)])
+def test_weighted_sum_rejects_mismatched_weights(x_shape, w_shape, axis):
+    with pytest.raises(DimensionError):
+        T.weighted_sum(T.Tensor(np.zeros(x_shape)), T.Tensor(np.zeros(w_shape)), axis)
+
+
+def test_linear_keeps_matmul_shape_checks():
+    with pytest.raises(DimensionError):
+        T.linear(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros(3)))
+
+
+def test_each_leaf_owns_its_grad_and_clip_scales_it_once():
+    # add hands one gradient array to both operands; a leaf that kept it
+    # instead of copying would be scaled twice by the in-place clip
+    params = ParamRegistry()
+    p, q, r = (params.register(name, np.ones(3)) for name in ("p", "q", "r"))
+    T.add(T.tsum(T.add(p, q)), T.tsum(T.add(r, r))).backward()
+    assert p.grad is not q.grad
+    norm = clip_global_norm(params, 1.0)
+    assert norm == np.sqrt(18.0)
+    scale = 1.0 / norm
+    assert np.array_equal(p.grad, np.full(3, scale))
+    assert np.array_equal(q.grad, np.full(3, scale))
+    assert np.array_equal(r.grad, np.full(3, 2.0 * scale))
+
+
+def test_inner_nodes_sharing_a_gradient_keep_their_own_sums():
+    # add hands one array to both operands and inner nodes keep it; one that
+    # summed a second gradient into it in place would change the other's
+    p = T.Tensor(np.ones(3), requires_grad=True)
+    q = T.Tensor(np.ones(3), requires_grad=True)
+    u, v = T.mul(p, 2.0), T.mul(q, 3.0)
+    T.tsum(T.add(T.add(u, v), u)).backward()
+    assert np.array_equal(p.grad, np.full(3, 4.0))
+    assert np.array_equal(q.grad, np.full(3, 3.0))
 
 
 class TestConv2d:
@@ -328,8 +406,8 @@ def test_dropout_grad_check_fixed_mask():
 
 def _gradcheck_row(op, args, kwargs):
     """The verify.OP_CLOSURES row that checks one call of a navfuse.tensor op."""
-    if op == "matmul" and np.ndim(getattr(args[0], "data", args[0])) == 1:
-        return "matmul_vec"
+    if op in ("matmul", "linear") and np.ndim(getattr(args[0], "data", args[0])) == 1:
+        return op + "_vec"
     if op == "conv2d" and kwargs.get("stride", args[2] if len(args) > 2 else 1) != 1:
         return "conv2d_stride2"
     return {"tsum": "sum", "tmean": "mean"}.get(op, op)
@@ -353,5 +431,5 @@ def test_every_op_a_training_step_runs_has_a_gradcheck_row(monkeypatch):
     res = pipeline_step(lf.frame, initial_state(model.cfg), model, mode="train",
                         rng=make_rng(0), label=lf)
     res.loss.backward()
-    assert {"take", "matmul_vec", "conv2d_stride2", "dropout"} <= seen
+    assert {"take", "matmul_vec", "linear_vec", "conv2d_stride2", "dropout"} <= seen
     assert seen - {name for name, _ in OP_CLOSURES} == set()
