@@ -223,21 +223,17 @@ def group_and_encode(cloud_cam: PointCloud, centroids: list[int],
     xyz = cloud_cam.xyz
     refl = cloud_cam.reflectance
     m = len(centroids)
-    cap = cfg.group_cap
+    n = xyz.shape[0]
+    cap = min(cfg.group_cap, n)
     centers = xyz[centroids]
     r2 = cfg.radius ** 2
-    n = xyz.shape[0]
     # rank neighbors by the |c|^2 + |x|^2 - 2 c.x expansion (one BLAS matmul
     # instead of an m x n x 3 broadcast); the cap nearest overall contain the
     # nearest-in-ball capped set, since sorted order puts every in-ball point
     # before every out-of-ball one
     sq = np.einsum("nd,nd->n", xyz, xyz)
     d2_rank = sq[centroids, None] + sq[None, :] - 2.0 * (centers @ xyz.T)
-    if cap < n:
-        sel = np.argpartition(d2_rank, cap - 1, axis=1)[:, :cap]
-    else:
-        sel = np.broadcast_to(np.arange(n), (m, n)).copy()
-        cap = n
+    sel = np.argpartition(d2_rank, cap - 1, axis=1)[:, :cap]
     # exact differences on the selected pairs keep the local features
     # translation invariant to the last bit
     local_raw = xyz[sel] - centers[:, None, :]

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CheckpointError
-from .params import ParamRegistry
+from .config import config_from_dict
+from .errors import CheckpointError, ConfigError, ContractError
+from .pipeline import ModelState, init_pipeline
 
 MAGIC = b"NAVFCKPT"
 FORMAT_VERSION = 2
@@ -114,16 +115,25 @@ def load_checkpoint(path: str) -> Checkpoint:
                       best_val_loss=header["best_val_loss"])
 
 
-def restore_model(ckpt: Checkpoint, params: ParamRegistry,
-                  buffers: dict[str, np.ndarray]) -> None:
-    """Copy checkpoint arrays into a live registry/buffer set, shape-checked."""
+def load_model(path: str) -> ModelState:
+    """The model a checkpoint holds, built from its own config snapshot.
+
+    A snapshot that is no valid config, or arrays that do not match the
+    model it describes, raise CheckpointError: both are file content.
+    """
+    ckpt = load_checkpoint(path)
     try:
-        params.load_state_dict(ckpt.params)
-    except Exception as e:
-        raise CheckpointError(f"checkpoint does not match model: {e}") from None
-    if set(ckpt.buffers) != set(buffers):
-        raise CheckpointError("checkpoint buffer names do not match model")
+        model = init_pipeline(config_from_dict(ckpt.config).pipeline)
+    except ConfigError as e:
+        raise CheckpointError(f"{path}: config snapshot: {e}") from None
+    try:
+        model.params.load_state_dict(ckpt.params)
+    except ContractError as e:
+        raise CheckpointError(f"{path}: checkpoint does not match model: {e}") from None
+    if set(ckpt.buffers) != set(model.buffers):
+        raise CheckpointError(f"{path}: checkpoint buffer names do not match model")
     for k, v in ckpt.buffers.items():
-        if v.shape != buffers[k].shape:
-            raise CheckpointError(f"buffer shape mismatch for {k!r}")
-        buffers[k][...] = v
+        if v.shape != model.buffers[k].shape:
+            raise CheckpointError(f"{path}: buffer shape mismatch for {k!r}")
+        model.buffers[k][...] = v
+    return model

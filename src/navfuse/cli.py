@@ -13,14 +13,15 @@ import numpy as np
 import yaml
 
 from . import simulate as S
-from .checkpoint import Checkpoint, load_checkpoint, restore_model, save_checkpoint
+from .checkpoint import Checkpoint, load_model, save_checkpoint
 from .config import RunConfig, config_to_dict, load_config
-from .errors import CheckpointError, ConfigError, ContractError, FormatError, NavfuseError
+from .errors import (CheckpointError, ConfigError, ContractError, DimensionError, FormatError,
+                     NavfuseError)
 from .kitti import (AugmentPolicy, CalibrationSet, load_sequences, save_ppm,
                     serialize_calib, serialize_poses, serialize_velodyne_bin)
 from .metrics import FPS_BASELINE, evaluate_run
 from .params import make_rng
-from .pipeline import init_pipeline, rollout
+from .pipeline import ModelState, PipelineConfig, init_pipeline, rollout
 from .train import train as run_train
 from .verify import run_op_checks, run_pipeline_check
 
@@ -44,21 +45,23 @@ def _load_run_config(args) -> RunConfig:
     if args.seed is not None:
         cfg.seed = args.seed
         cfg.train.seed = args.seed
+    if getattr(args, "epochs", None) is not None:
+        cfg.train.total_epochs = args.epochs
     if args.out is not None:
         cfg.out_dir = args.out
     return cfg.validate()
 
 
-def _apply_ablations(cfg: RunConfig, args) -> None:
-    if getattr(args, "no_attention", False):
-        cfg.pipeline.use_attention = False
-    if getattr(args, "no_temporal", False):
-        cfg.pipeline.use_temporal = False
-    if getattr(args, "beta", None) is not None:
-        cfg.pipeline.beta = args.beta
-    if getattr(args, "modality", None) is not None:
-        cfg.pipeline.modality = args.modality
-    cfg.pipeline.validate()
+def _apply_ablations(pcfg: PipelineConfig, args) -> None:
+    if args.no_attention:
+        pcfg.use_attention = False
+    if args.no_temporal:
+        pcfg.use_temporal = False
+    if args.beta is not None:
+        pcfg.beta = args.beta
+    if args.modality is not None:
+        pcfg.modality = args.modality
+    pcfg.validate()
 
 
 def _ablation_flags(cfg: RunConfig) -> dict:
@@ -98,11 +101,18 @@ def _load_tagged_dataset(cfg: RunConfig) -> list[tuple[str, list]]:
     return out
 
 
-def _build_model(cfg: RunConfig, checkpoint_path: str | None):
-    model = init_pipeline(cfg.pipeline, seed=cfg.seed)
-    if checkpoint_path:
-        ckpt = load_checkpoint(checkpoint_path)
-        restore_model(ckpt, model.params, model.buffers)
+def _build_model(cfg: RunConfig, args) -> ModelState:
+    """The model a command runs; cfg.pipeline becomes its config.
+
+    With --checkpoint it is the model the checkpoint holds, built from the
+    checkpoint's own config snapshot, and the run config's pipeline values
+    are not used. Without one it is a fresh model from cfg.pipeline and
+    cfg.seed. The ablation flags override either.
+    """
+    checkpoint = getattr(args, "checkpoint", None)
+    model = load_model(checkpoint) if checkpoint else init_pipeline(cfg.pipeline, seed=cfg.seed)
+    _apply_ablations(model.cfg, args)
+    cfg.pipeline = model.cfg
     return model
 
 
@@ -150,11 +160,10 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
-    _apply_ablations(cfg, args)
+    model = _build_model(cfg, args)
     tagged = _load_tagged_dataset(cfg)
     train_seqs = [frames for _, frames in tagged]
     val_seqs = [frames for tag, frames in tagged if tag == "standard"] or train_seqs
-    model = init_pipeline(cfg.pipeline, seed=cfg.seed)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "train_log.jsonl"
@@ -169,7 +178,7 @@ def cmd_train(args) -> int:
                   f"{log.wall_seconds:.2f}s")
 
         result = run_train(model, train_seqs, val_seqs, cfg.train,
-                           augment=augment, max_epochs=args.epochs, log_fn=log_fn)
+                           augment=augment, log_fn=log_fn)
         if result.stopped_early:
             stop_line = {"record": "early_stop", "reason": result.stop_reason,
                          "epoch": len(result.logs) - 1}
@@ -191,8 +200,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_run_config(args)
-    _apply_ablations(cfg, args)
-    model = _build_model(cfg, args.checkpoint)
+    model = _build_model(cfg, args)
     tagged = _load_tagged_dataset(cfg)
     metrics = evaluate_run(tagged, model, na_threshold=cfg.data.na_threshold)
 
@@ -200,23 +208,21 @@ def cmd_eval(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.jsonl"
     with open(report_path, "w") as fh:
-        fh.write(json.dumps({"record": "aggregate", **metrics.to_dict(),
+        fh.write(json.dumps({"record": "aggregate", "na": metrics.na, "lp": metrics.lp,
+                             "fps": metrics.fps, "ri": metrics.ri,
                              "ablations": _ablation_flags(cfg)}, sort_keys=True) + "\n")
-        for tag, (na, lp) in metrics.per_scenario.items():
-            rec = {"record": "scenario", "scenario": tag, "na": na, "lp": lp,
-                   "ri": metrics.per_scenario_ri.get(tag),
-                   "w_rgb": metrics.mean_weights[tag][0],
-                   "w_lidar": metrics.mean_weights[tag][1]}
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        for tag, row in metrics.scenarios.items():
+            fh.write(json.dumps({"record": "scenario", "scenario": tag, **row},
+                                sort_keys=True) + "\n")
 
     print(f"NA {metrics.na:.4f}  LP {metrics.lp:.4f} m  "
           f"FPS {metrics.fps:.1f}  RI {metrics.ri if metrics.ri is None else round(metrics.ri, 4)}")
     print(f"{'scenario':<16} {'NA':>7} {'LP':>8} {'RI':>7} {'w_rgb':>7} {'w_lidar':>8}")
-    for tag, (na, lp) in sorted(metrics.per_scenario.items()):
-        ri = metrics.per_scenario_ri.get(tag)
-        print(f"{tag:<16} {na:7.4f} {lp:8.4f} "
+    for tag, row in sorted(metrics.scenarios.items()):
+        ri = row["ri"]
+        print(f"{tag:<16} {row['na']:7.4f} {row['lp']:8.4f} "
               f"{'-' if ri is None else format(ri, '7.4f'):>7} "
-              f"{metrics.mean_weights[tag][0]:7.4f} {metrics.mean_weights[tag][1]:8.4f}")
+              f"{row['w_rgb']:7.4f} {row['w_lidar']:8.4f}")
     print(f"report -> {report_path}")
     return EXIT_OK
 
@@ -253,8 +259,7 @@ def cmd_bench(args) -> int:
     if args.frames < 1:
         raise ConfigError(f"--frames must be >= 1, got {args.frames}")
     cfg = _load_run_config(args)
-    _apply_ablations(cfg, args)
-    model = _build_model(cfg, args.checkpoint)
+    model = _build_model(cfg, args)
     sc = cfg.synth
     world, _ = S.preset_scenario("standard", frames=max(sc.frames, 12),
                                  speed=sc.speed, yaw_rate_deg=sc.yaw_rate_deg)
@@ -329,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("train", help="train the pipeline")
     _add_common(p, ablations=True)
-    p.add_argument("--epochs", type=int, default=None, help="override epoch count")
+    p.add_argument("--epochs", type=int, default=None, help="set train.total_epochs")
     p.set_defaults(fn=cmd_train)
 
     p = subs.add_parser("eval", help="evaluate a checkpoint")
@@ -355,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (ConfigError, ContractError) as e:
+    except (ConfigError, ContractError, DimensionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, FormatError, CheckpointError) as e:

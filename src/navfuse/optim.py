@@ -30,6 +30,8 @@ class TrainConfig:
             raise ConfigError("need 0 <= lr_min <= lr_init")
         if self.clip_norm <= 0:
             raise ConfigError("clip_norm must be > 0")
+        if self.total_epochs < 0:
+            raise ConfigError("total_epochs must be >= 0")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
         if self.seed < 0:

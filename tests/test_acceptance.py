@@ -8,12 +8,13 @@ checklist.  Tolerances are stated inline next to each assertion.
 import json
 import struct
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
-from navfuse.checkpoint import Checkpoint, load_checkpoint, restore_model, save_checkpoint
+from navfuse.checkpoint import Checkpoint, load_model, save_checkpoint
 from navfuse.cli import main
+from navfuse.config import RunConfig, config_to_dict
 from navfuse.fusion import (ReliabilityScores, fusion_weights, init_fusion_params,
                             reliability_cloud, reliability_image, semantic_map)
 from navfuse.geometry import lidar_to_camera, project_points
@@ -29,7 +30,6 @@ from navfuse.simulate import (SCENARIOS, CameraConfig, LidarConfig, World,
                               degrade_image, make_trajectory, preset_scenario,
                               render_frame, scan_frame, synth_sequence)
 from navfuse.tensor import Tensor
-from navfuse.temporal import NavOutput
 from navfuse.train import train
 from navfuse.verify import (run_op_checks, run_pipeline_check, small_pipeline_config,
                             small_synth_frames)
@@ -256,28 +256,21 @@ def test_criterion_6_throughput(tmp_path):
 # -- 7: metric correctness ---------------------------------------------
 
 
-def _nav(waypoint, ego):
-    return NavOutput(waypoint=np.asarray(waypoint, dtype=float),
-                     ego_delta=np.asarray(ego, dtype=float))
-
-
-def _label(waypoint, ego):
-    from navfuse.kitti import LabeledFrame
-    return LabeledFrame(frame=None, waypoint=np.asarray(waypoint, dtype=float),
-                        ego_delta=np.asarray(ego, dtype=float))
+def _err(pred, label):
+    """One frame's error as evaluate_run computes it."""
+    return float(np.linalg.norm(np.asarray(pred, dtype=float) - np.asarray(label, dtype=float)))
 
 
 def test_criterion_7_metric_unit_examples():
     zero3 = [0.0, 0.0, 0.0]
-    preds = [_nav([1.0, 0.0], zero3), _nav([0.0, 0.4], zero3), _nav([2.0, 2.0], zero3)]
-    labels = [_label([1.0, 0.0], zero3), _label([0.0, 0.0], zero3), _label([0.0, 0.0], zero3)]
-    ok = metric_na(preds, labels, threshold=0.5) == 2.0 / 3.0
+    wp_err = np.array([_err([1.0, 0.0], [1.0, 0.0]), _err([0.0, 0.4], [0.0, 0.0]),
+                       _err([2.0, 2.0], [0.0, 0.0])])
+    ok = metric_na(wp_err, threshold=0.5) == 2.0 / 3.0
     # strict inequality at the 0.5 m edge: an exact 0.5 m miss does not count
-    ok &= metric_na([_nav([0.5, 0.0], zero3)], [_label([0.0, 0.0], zero3)], 0.5) == 0.0
-    ok &= metric_na([_nav([0.49999, 0.0], zero3)], [_label([0.0, 0.0], zero3)], 0.5) == 1.0
-    lp_preds = [_nav([0, 0], [3.0, 0.0, 0.0]), _nav([0, 0], [0.0, 0.0, 1.0])]
-    lp_labels = [_label([0, 0], zero3), _label([0, 0], zero3)]
-    ok &= metric_lp(lp_preds, lp_labels) == 2.0
+    ok &= metric_na(np.array([_err([0.5, 0.0], [0.0, 0.0])]), 0.5) == 0.0
+    ok &= metric_na(np.array([_err([0.49999, 0.0], [0.0, 0.0])]), 0.5) == 1.0
+    ego_err = np.array([_err([3.0, 0.0, 0.0], zero3), _err([0.0, 0.0, 1.0], zero3)])
+    ok &= metric_lp(ego_err) == 2.0
     ok &= metric_fps(120, 6.0) == 20.0
     ok &= metric_ri(0.45, 0.9) == 0.5
     ok &= metric_ri(0.72, 0.9) == 0.72 / 0.9
@@ -314,17 +307,16 @@ def test_criterion_8_determinism(tmp_path):
     ok &= [l.val_loss for l in result_a.logs] == [l.val_loss for l in result_b.logs]
     ok &= all(np.array_equal(result_a.best_params[k], result_b.best_params[k])
               for k in result_a.best_params)
-    ok &= _strip_fps(metrics_a.to_dict()) == _strip_fps(metrics_b.to_dict())
+    ok &= _strip_fps(asdict(metrics_a)) == _strip_fps(asdict(metrics_b))
 
     # checkpoint round-trip preserves eval metrics bitwise
     path = str(tmp_path / "ck.bin")
-    save_checkpoint(Checkpoint(config={}, params=model_a.params.state_dict(),
+    save_checkpoint(Checkpoint(config=config_to_dict(RunConfig(pipeline=cfg)),
+                               params=model_a.params.state_dict(),
                                buffers={k: v.copy() for k, v in model_a.buffers.items()}),
                     path)
-    fresh = init_pipeline(cfg, seed=123)
-    restore_model(load_checkpoint(path), fresh.params, fresh.buffers)
-    metrics_c = evaluate_run([("standard", frames)], fresh)
-    ok &= _strip_fps(metrics_c.to_dict()) == _strip_fps(metrics_a.to_dict())
+    metrics_c = evaluate_run([("standard", frames)], load_model(path))
+    ok &= _strip_fps(asdict(metrics_c)) == _strip_fps(asdict(metrics_a))
     _verdict(8, "determinism (train+eval bitwise, checkpoint round-trip)", ok)
 
 
@@ -344,13 +336,13 @@ def test_criterion_9_scenario_report():
         dataset.append((name, seq))
     model = init_pipeline(small_pipeline_config(), seed=0)
     metrics = evaluate_run(dataset, model)
-    ok = set(metrics.per_scenario) == set(SCENARIOS)
-    ok &= all(0.0 <= na <= 1.0 and lp >= 0.0
-              for na, lp in metrics.per_scenario.values())
-    ok &= set(metrics.mean_weights) == set(SCENARIOS)
+    rows = metrics.scenarios
+    ok = set(rows) == set(SCENARIOS)
+    ok &= all(0.0 <= row["na"] <= 1.0 and row["lp"] >= 0.0 for row in rows.values())
+    ok &= all(row["w_rgb"] > 0 and row["w_lidar"] > 0 for row in rows.values())
     # RI per special scenario whenever standard NA is non-zero
-    if metrics.per_scenario["standard"][0] > 0:
-        ok &= set(metrics.per_scenario_ri) == set(SCENARIOS) - {"standard"}
-    ok &= (metrics.mean_weights["lidar_degraded"][1]
-           < metrics.mean_weights["standard"][1])
+    if rows["standard"]["na"] > 0:
+        ok &= {tag for tag, row in rows.items() if row["ri"] is not None} == (
+            set(SCENARIOS) - {"standard"})
+    ok &= rows["lidar_degraded"]["w_lidar"] < rows["standard"]["w_lidar"]
     _verdict(9, "scenario report (degraded-LiDAR weight below standard)", ok)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from navfuse.checkpoint import (FORMAT_VERSION, MAGIC, Checkpoint, load_checkpoint,
-                                restore_model, save_checkpoint)
+                                load_model, save_checkpoint)
 from navfuse.cli import main
+from navfuse.config import RunConfig, config_to_dict
 from navfuse.errors import CheckpointError
 from navfuse.params import make_rng
 from navfuse.pipeline import init_pipeline
@@ -152,29 +153,67 @@ def test_malformed_header_is_checkpoint_error(tmp_path, edit, match):
     assert main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "e")]) == 3
 
 
-def test_restore_into_model(tmp_path):
-    cfg = small_pipeline_config()
-    model = init_pipeline(cfg, seed=0)
-    ckpt = Checkpoint(config={}, params=model.params.state_dict(),
+def _model_ckpt(model, params=None, config=None):
+    snapshot = config_to_dict(RunConfig(pipeline=model.cfg)) if config is None else config
+    return Checkpoint(config=snapshot,
+                      params=model.params.state_dict() if params is None else params,
                       buffers={k: v.copy() for k, v in model.buffers.items()})
-    path = str(tmp_path / "model.bin")
-    save_checkpoint(ckpt, path)
 
-    other = init_pipeline(cfg, seed=99)
-    restore_model(load_checkpoint(path), other.params, other.buffers)
+
+def test_restore_into_model(tmp_path):
+    model = init_pipeline(small_pipeline_config(), seed=99)
+    path = str(tmp_path / "model.bin")
+    save_checkpoint(_model_ckpt(model), path)
+
+    # the snapshot alone describes the model: it is built at another seed
+    # and a config the caller never passes, then takes the saved arrays
+    other = load_model(path)
+    assert other.cfg == model.cfg
     for k, v in model.params.items():
         np.testing.assert_array_equal(other.params.get(k).data, v.data)
+    for k, v in model.buffers.items():
+        np.testing.assert_array_equal(other.buffers[k], v)
 
 
 def test_restore_shape_mismatch(tmp_path):
-    cfg = small_pipeline_config()
-    model = init_pipeline(cfg, seed=0)
+    model = init_pipeline(small_pipeline_config(), seed=0)
     state = model.params.state_dict()
     first = next(iter(state))
     state[first] = np.zeros(np.asarray(state[first]).shape + (2,))
-    ckpt = Checkpoint(config={}, params=state,
-                      buffers={k: v.copy() for k, v in model.buffers.items()})
     path = str(tmp_path / "bad.bin")
-    save_checkpoint(ckpt, path)
-    with pytest.raises(CheckpointError):
-        restore_model(load_checkpoint(path), model.params, model.buffers)
+    save_checkpoint(_model_ckpt(model, params=state), path)
+    with pytest.raises(CheckpointError, match="does not match model"):
+        load_model(path)
+
+
+def test_empty_snapshot_is_the_default_pipeline(tmp_path):
+    # config={} is the default pipeline, which the small model's arrays do
+    # not fit
+    model = init_pipeline(small_pipeline_config(), seed=0)
+    path = str(tmp_path / "small.bin")
+    save_checkpoint(_model_ckpt(model, config={}), path)
+    with pytest.raises(CheckpointError, match="does not match model"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("config", [{"pipeline": {"beta": -1}}, {"nonsense": 1}, []])
+def test_invalid_snapshot_is_checkpoint_error(tmp_path, config):
+    model = init_pipeline(small_pipeline_config(), seed=0)
+    path = str(tmp_path / "bad.bin")
+    save_checkpoint(_model_ckpt(model, config=config), path)
+    with pytest.raises(CheckpointError, match="config snapshot"):
+        load_model(path)
+
+
+def test_buffer_mismatch_is_checkpoint_error(tmp_path):
+    model = init_pipeline(small_pipeline_config(), seed=0)
+    ckpt = _model_ckpt(model)
+    name = next(iter(ckpt.buffers))
+    ckpt.buffers[name] = np.zeros(ckpt.buffers[name].shape + (2,))
+    save_checkpoint(ckpt, str(tmp_path / "shape.bin"))
+    with pytest.raises(CheckpointError, match="buffer shape mismatch"):
+        load_model(str(tmp_path / "shape.bin"))
+    ckpt.buffers["extra"] = np.zeros(1)
+    save_checkpoint(ckpt, str(tmp_path / "names.bin"))
+    with pytest.raises(CheckpointError, match="buffer names"):
+        load_model(str(tmp_path / "names.bin"))

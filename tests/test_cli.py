@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from navfuse.checkpoint import load_checkpoint
+from navfuse.checkpoint import load_checkpoint, save_checkpoint
 from navfuse.cli import main
 from navfuse.config import config_from_dict
 from navfuse.pipeline import init_pipeline
@@ -65,6 +65,14 @@ def _tree_digest(root: Path) -> str:
     return h.hexdigest()
 
 
+def _report(out: Path) -> list[dict]:
+    """report.jsonl's records without the timing-dependent fps."""
+    recs = [json.loads(l) for l in (out / "report.jsonl").read_text().splitlines()]
+    for r in recs:
+        r.pop("fps", None)
+    return recs
+
+
 def test_synth_layout_and_manifest(tmp_path):
     cfg, data = _write_cfg(tmp_path)
     assert main(["synth", "--config", str(cfg)]) == 0
@@ -116,14 +124,7 @@ def test_eval_deterministic_except_fps(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["eval", "--config", str(cfg), "--out", str(out_a)]) == 0
     assert main(["eval", "--config", str(cfg), "--out", str(out_b)]) == 0
-
-    def strip_fps(path):
-        recs = [json.loads(l) for l in (path / "report.jsonl").read_text().splitlines()]
-        for r in recs:
-            r.pop("fps", None)
-        return recs
-
-    assert strip_fps(out_a) == strip_fps(out_b)
+    assert _report(out_a) == _report(out_b)
 
 
 def test_eval_ablation_flags_recorded(tmp_path):
@@ -350,3 +351,99 @@ def test_train_ablation_leaves_switched_off_branch_untouched(synth_tree, tmp_pat
         assert ckpt.params[k].tobytes() == init[k].tobytes(), k
     assert any(ckpt.params[k].tobytes() != v.tobytes()
                for k, v in init.items() if k not in off)
+
+
+# -- a checkpoint evaluates as the model it holds ------------------------
+
+# pipeline values off their defaults, trained with a flag on top; the run
+# configs eval reads below lack the pipeline section or repeat it
+_TRAINED = "pipeline: {max_step: 3.0, beta: 0.5, tau_img: 50.0}\n"
+_TRAINED_ABLATIONS = {"use_attention": True, "use_temporal": True, "beta": 0.5,
+                      "modality": "rgb"}
+
+
+@pytest.fixture(scope="module")
+def rgb_run(synth_tree, tmp_path_factory):
+    root = tmp_path_factory.mktemp("rgb_run")
+    data = _merged(yaml.safe_load(synth_tree.read_text()), yaml.safe_load(_TRAINED))
+    train_cfg = root / "train.yaml"
+    train_cfg.write_text(yaml.safe_dump(data))
+    del data["pipeline"]
+    bare_cfg = root / "bare.yaml"
+    bare_cfg.write_text(yaml.safe_dump(data))
+    run = root / "run"
+    assert main(["train", "--config", str(train_cfg), "--out", str(run),
+                 "--epochs", "1", "--modality", "rgb"]) == 0
+    return train_cfg, bare_cfg, run / "checkpoint.bin"
+
+
+def test_train_epochs_flag_sets_total_epochs(rgb_run):
+    train_cfg, _, ckpt = rgb_run
+    config = load_checkpoint(str(ckpt)).config
+    assert yaml.safe_load(train_cfg.read_text())["train"]["total_epochs"] == 2
+    assert config["train"]["total_epochs"] == 1
+    assert (config["pipeline"]["modality"], config["pipeline"]["beta"]) == ("rgb", 0.5)
+
+
+def test_eval_checkpoint_needs_no_pipeline_section(rgb_run, tmp_path):
+    train_cfg, bare_cfg, ckpt = rgb_run
+    bare, repeated = tmp_path / "bare", tmp_path / "repeated"
+    assert main(["eval", "--config", str(bare_cfg), "--checkpoint", str(ckpt),
+                 "--out", str(bare)]) == 0
+    assert main(["eval", "--config", str(train_cfg), "--checkpoint", str(ckpt),
+                 "--out", str(repeated), "--modality", "rgb"]) == 0
+    assert _report(bare) == _report(repeated)
+    assert _report(bare)[0]["ablations"] == _TRAINED_ABLATIONS
+
+
+def test_eval_flag_overrides_checkpoint(rgb_run, tmp_path):
+    _, bare_cfg, ckpt = rgb_run
+    out = tmp_path / "e"
+    assert main(["eval", "--config", str(bare_cfg), "--checkpoint", str(ckpt),
+                 "--out", str(out), "--beta", "1"]) == 0
+    assert _report(out)[0]["ablations"] == {**_TRAINED_ABLATIONS, "beta": 1.0}
+
+
+def test_invalid_checkpoint_snapshot_is_io_error(rgb_run, tmp_path):
+    # the run config describes the model too, so only the snapshot is wrong
+    train_cfg, _, ckpt_path = rgb_run
+    ckpt = load_checkpoint(str(ckpt_path))
+    ckpt.config["pipeline"]["beta"] = -1
+    bad = tmp_path / "bad.bin"
+    save_checkpoint(ckpt, str(bad))
+    assert main(["eval", "--config", str(train_cfg), "--checkpoint", str(bad),
+                 "--out", str(tmp_path / "e")]) == 3
+
+
+def test_bench_checkpoint_records_its_ablations(rgb_run, tmp_path):
+    # the run config's pipeline section says modality both; it is not used
+    train_cfg, _, ckpt = rgb_run
+    out = tmp_path / "bench"
+    assert main(["bench", "--config", str(train_cfg), "--checkpoint", str(ckpt),
+                 "--out", str(out), "--frames", "2"]) in (0, 1)
+    rec = json.loads((out / "bench.jsonl").read_text())
+    assert rec["ablations"] == _TRAINED_ABLATIONS
+
+
+@pytest.mark.parametrize("text, flags", [("{}", ["--epochs", "-1"]),
+                                         ("train: {total_epochs: -1}", [])])
+def test_negative_epochs_is_usage_error(synth_tree, tmp_path, text, flags):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(_merged(yaml.safe_load(synth_tree.read_text()),
+                                          yaml.safe_load(text))))
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(run), *flags]) == 2
+    assert not (run / "checkpoint.bin").exists()
+
+
+def test_dimension_error_is_usage_error(tmp_path):
+    # three stride-8 stages shrink a 64x64 frame to 1x1, where training
+    # batch norm has a single sample per channel
+    data = tmp_path / "data"
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"out_dir: {data}\ndata: {{root: {data}}}\n"
+                   "synth: {frames: 3, scenarios: [standard]}\n"
+                   "pipeline: {rgb: {strides: [8, 8, 8]}}\n")
+    assert main(["synth", "--config", str(cfg)]) == 0
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                 "--epochs", "1"]) == 2

@@ -1,71 +1,59 @@
 """Navigation accuracy, localization precision, throughput, robustness index."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from navfuse.errors import ConfigError, ContractError
-from navfuse.kitti import LabeledFrame
 from navfuse.metrics import (evaluate_run, metric_fps, metric_lp, metric_na,
                              metric_ri)
 from navfuse.pipeline import init_pipeline
-from navfuse.temporal import NavOutput
 from navfuse.verify import small_pipeline_config, small_synth_frames
 
 
-def _pair(way_pred, way_true=(0.0, 0.0), ego_pred=(0, 0, 0), ego_true=(0, 0, 0)):
-    pred = NavOutput(waypoint=np.asarray(way_pred, dtype=float),
-                     ego_delta=np.asarray(ego_pred, dtype=float))
-    label = LabeledFrame(frame=None, waypoint=np.asarray(way_true, dtype=float),
-                         ego_delta=np.asarray(ego_true, dtype=float))
-    return pred, label
-
-
-def _unzip(pairs):
-    return [p for p, _ in pairs], [l for _, l in pairs]
+def _err(preds, label=0.0):
+    """Per-frame errors as evaluate_run computes them: the norm of each
+    prediction minus its label."""
+    return np.array([np.linalg.norm(np.asarray(p, dtype=float) - label) for p in preds])
 
 
 def test_na_threshold_count():
-    pairs = [_pair((0.3, 0.0)), _pair((0.6, 0.0)), _pair((0.4, 0.0))]
-    assert metric_na(*_unzip(pairs), threshold=0.5) == pytest.approx(2.0 / 3.0)
+    wp_err = _err([(0.3, 0.0), (0.6, 0.0), (0.4, 0.0)])
+    assert metric_na(wp_err, threshold=0.5) == pytest.approx(2.0 / 3.0)
 
 
 def test_na_perfect():
-    pairs = [_pair((1.0, 2.0), (1.0, 2.0))] * 4
-    assert metric_na(*_unzip(pairs)) == 1.0
+    assert metric_na(_err([(1.0, 2.0)] * 4, label=(1.0, 2.0))) == 1.0
 
 
 def test_na_strict_inequality_at_threshold():
     # a deviation of exactly 0.5 m counts as incorrect
-    pairs = [_pair((0.5, 0.0))]
-    assert metric_na(*_unzip(pairs), threshold=0.5) == 0.0
+    assert metric_na(_err([(0.5, 0.0)]), threshold=0.5) == 0.0
 
 
 def test_na_empty_input():
     with pytest.raises(ContractError):
-        metric_na([], [])
+        metric_na(np.array([]))
 
 
 def test_na_permutation_invariant():
-    pairs = [_pair((0.1 * i, 0.0)) for i in range(8)]
-    preds, labels = _unzip(pairs)
-    base = metric_na(preds, labels)
+    wp_err = _err([(0.1 * i, 0.0) for i in range(8)])
+    base = metric_na(wp_err)
     perm = np.random.Generator(np.random.Philox(0)).permutation(8)
-    assert metric_na([preds[i] for i in perm], [labels[i] for i in perm]) == base
+    assert metric_na(wp_err[perm]) == base
 
 
 def test_lp_axis_distance():
-    pairs = [_pair((0, 0), ego_pred=(1, 2, 3), ego_true=(1, 2, 5))]
-    assert metric_lp(*_unzip(pairs)) == pytest.approx(2.0)
+    assert metric_lp(_err([(1, 2, 3)], label=(1, 2, 5))) == pytest.approx(2.0)
 
 
 def test_lp_identity():
-    pairs = [_pair((0, 0), ego_pred=(1, 2, 3), ego_true=(1, 2, 3))]
-    assert metric_lp(*_unzip(pairs)) == 0.0
+    assert metric_lp(_err([(1, 2, 3)], label=(1, 2, 3))) == 0.0
 
 
 def test_lp_mean():
-    pairs = [_pair((0, 0), ego_pred=(1, 0, 0)), _pair((0, 0), ego_pred=(3, 0, 0))]
-    assert metric_lp(*_unzip(pairs)) == pytest.approx(2.0)
+    assert metric_lp(_err([(1, 0, 0), (3, 0, 0)])) == pytest.approx(2.0)
 
 
 def test_fps_division():
@@ -107,17 +95,19 @@ def test_evaluate_schema_and_determinism():
     ds = [("standard", frames), ("dynamic", other)]
     m1 = evaluate_run(ds, model)
     m2 = evaluate_run(ds, model)
-    d1, d2 = m1.to_dict(), m2.to_dict()
-    assert set(d1) == {"na", "lp", "fps", "ri", "per_scenario", "per_scenario_ri",
-                       "mean_weights"}
+    d1, d2 = asdict(m1), asdict(m2)
+    assert set(d1) == {"na", "lp", "fps", "ri", "scenarios"}
     d1.pop("fps"), d2.pop("fps")
     assert d1 == d2
-    assert set(m1.per_scenario) == {"standard", "dynamic"}
+    assert list(m1.scenarios) == ["standard", "dynamic"]
+    for row in m1.scenarios.values():
+        assert set(row) == {"na", "lp", "ri", "w_rgb", "w_lidar"}
+    assert m1.scenarios["standard"]["ri"] is None
     # RI is reported only when standard NA is nonzero (undefined otherwise)
-    if m1.per_scenario["standard"][0] > 0:
-        assert set(m1.per_scenario_ri) == {"dynamic"}
+    if m1.scenarios["standard"]["na"] > 0:
+        assert m1.scenarios["dynamic"]["ri"] is not None
     else:
-        assert m1.per_scenario_ri == {} and m1.ri is None
+        assert m1.scenarios["dynamic"]["ri"] is None and m1.ri is None
 
 
 def test_evaluate_ri_composition():
@@ -126,16 +116,18 @@ def test_evaluate_ri_composition():
     ds = [("standard", small_synth_frames(4)),
           ("low_light", small_synth_frames(4))]
     m = evaluate_run(ds, model)
-    na_std = m.per_scenario["standard"][0]
+    na_std = m.scenarios["standard"]["na"]
     if na_std > 0:
-        assert m.per_scenario_ri["low_light"] == pytest.approx(
-            m.per_scenario["low_light"][0] / na_std)
+        assert m.scenarios["low_light"]["ri"] == pytest.approx(
+            m.scenarios["low_light"]["na"] / na_std)
+        assert m.ri == m.scenarios["low_light"]["ri"]
 
 
 def test_evaluate_mean_weights_recorded():
     model = init_pipeline(small_pipeline_config(), seed=0)
     m = evaluate_run([("standard", small_synth_frames(4))], model)
-    w_rgb, w_lidar = m.mean_weights["standard"]
+    row = m.scenarios["standard"]
+    w_rgb, w_lidar = row["w_rgb"], row["w_lidar"]
     assert w_rgb > 0 and w_lidar > 0
     assert w_rgb + w_lidar == pytest.approx(1.0, abs=1e-12)
     assert m.ri is None
