@@ -11,7 +11,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ContractError, DimensionError
 from .kitti import Image, PointCloud
-from .params import ParamRegistry, kaiming_uniform, linear, register_conv, register_linear
+from .params import ParamRegistry, kaiming_uniform, linear, register_linear
 from .tensor import Tensor
 
 MASK_NEG = -1e30
@@ -104,7 +104,9 @@ def init_rgb_params(cfg: RgbBranchConfig, params: ParamRegistry, rng) -> dict[st
     buffers: dict[str, np.ndarray] = {}
     c_in = 4  # RGB + aligned sparse depth
     for i, c_out in enumerate(cfg.stage_channels):
-        register_conv(params, rng, f"rgb.stage{i}.conv", c_in, c_out, 3)
+        # bias-free: the batch norm's mean subtraction would cancel a conv bias
+        params.register(f"rgb.stage{i}.conv.w",
+                        kaiming_uniform(rng, (c_out, c_in, 3, 3), fan_in=c_in * 9))
         params.register(f"rgb.stage{i}.short.w",
                         kaiming_uniform(rng, (c_out, c_in, 1, 1), fan_in=c_in))
         params.register(f"rgb.stage{i}.bn.gamma", np.ones(c_out))
@@ -133,21 +135,17 @@ def rgb_forward(image: Image, sparse_depth: Tensor, cfg: RgbBranchConfig,
     rgb = Tensor(image.pixels.astype(np.float64).transpose(2, 0, 1) / 255.0)
     x = T.concat([rgb, sparse_depth], axis=0)
     stage_summaries = []
-    for i, (c_out, stride) in enumerate(zip(cfg.stage_channels, cfg.strides)):
+    for i, stride in enumerate(cfg.strides):
         pre = f"rgb.stage{i}"
         conv = T.conv2d(x, params.get(pre + ".conv.w"), stride=stride, pad=1)
-        conv = T.add(conv, T.reshape(params.get(pre + ".conv.b"), (c_out, 1, 1)))
         short = T.conv2d(x, params.get(pre + ".short.w"), stride=stride, pad=0)
-        c, hh, ww = conv.shape
-        flat = T.transpose(T.reshape(conv, (c, hh * ww)))  # (H'W') x C
-        normed = T.batch_norm(flat, params.get(pre + ".bn.gamma"), params.get(pre + ".bn.beta"),
+        normed = T.batch_norm(conv, params.get(pre + ".bn.gamma"), params.get(pre + ".bn.beta"),
                               buffers[pre + ".bn.mean"], buffers[pre + ".bn.var"],
                               training=training)
-        normed = T.reshape(T.transpose(normed), (c, hh, ww))
         x = T.relu(T.add(normed, short))
         T.assert_finite(x, f"{pre} output")
+        c, hh, ww = x.shape
         stage_summaries.append(T.tmean(T.reshape(x, (c, hh * ww)), axis=1))
-    c, hh, ww = x.shape
     tokens = T.transpose(T.reshape(x, (c, hh * ww)))
     tokens = linear(tokens, params, "rgb.tokproj")
     if use_attention:

@@ -23,6 +23,11 @@ class DataConfig:
     augment: bool = True
     na_threshold: float = 0.5
 
+    def validate(self):
+        if self.lookahead_m <= 0 or self.na_threshold <= 0:
+            raise ConfigError("data.lookahead_m and data.na_threshold must be > 0")
+        return self
+
 
 @dataclass
 class SynthConfig:
@@ -66,6 +71,7 @@ class RunConfig:
     def validate(self):
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+        self.data.validate()
         self.pipeline.validate()
         self.train.validate()
         self.synth.validate()
@@ -95,14 +101,15 @@ _SCALAR_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
 
 
 def _is_a(value, type_name: str) -> bool:
-    # bool subclasses int, but `true` is no count or size
+    # bool subclasses int, but `true` is no count or size, nor `.nan` a float
     return (isinstance(value, _SCALAR_TYPES[type_name])
-            and (type_name == "bool" or not isinstance(value, bool)))
+            and (type_name == "bool" or not isinstance(value, bool))
+            and (type_name != "float" or bool(np.isfinite(value))))
 
 
 def _checked(value, type_name: str, path: str):
     """value itself if it has the field's declared type (an int passes as a
-    float); ConfigError otherwise."""
+    float, a non-finite float does not); ConfigError otherwise."""
     if type_name.startswith("list["):
         ok = isinstance(value, list) and all(_is_a(v, type_name[5:-1]) for v in value)
     else:

@@ -9,17 +9,20 @@ import numpy as np
 from .errors import ContractError
 from .params import ParamRegistry
 
+# every check's central-difference step and pass threshold on the relative error
+H = 1e-6
+TOL = 1e-4
+
 
 @dataclass
 class GradCheckReport:
-    tol: float
     max_rel_err: float = 0.0
     passed: bool = True
 
     def record(self, err: float):
         if err > self.max_rel_err:
             self.max_rel_err = err
-        if err > self.tol:
+        if err > TOL:
             self.passed = False
 
 
@@ -29,8 +32,7 @@ def _rel_err(a: float, n: float) -> float:
     return abs(a - n) / max(abs(a), abs(n), 1.0)
 
 
-def grad_check(f, params: ParamRegistry, h: float = 1e-5, tol: float = 1e-4,
-               entries_per_param: int | None = None,
+def grad_check(f, params: ParamRegistry, entries_per_param: int | None = None,
                rng: np.random.Generator | None = None) -> GradCheckReport:
     """Compare analytic grads of f() against central differences.
 
@@ -38,8 +40,6 @@ def grad_check(f, params: ParamRegistry, h: float = 1e-5, tol: float = 1e-4,
     current registry values. With entries_per_param set, a seeded random
     subset of each parameter's entries is probed instead of all of them.
     """
-    if h <= 0:
-        raise ContractError("grad_check needs h > 0")
     params.zero_grads()
     loss = f()
     v0 = loss.item()
@@ -50,7 +50,7 @@ def grad_check(f, params: ParamRegistry, h: float = 1e-5, tol: float = 1e-4,
     if v1 != v0:
         raise ContractError("grad_check requires a deterministic computation "
                             f"(got {v0} then {v1})")
-    report = GradCheckReport(tol=tol)
+    report = GradCheckReport()
     for path, p in params.items():
         flat = p.data.ravel()
         n = flat.size
@@ -63,12 +63,12 @@ def grad_check(f, params: ParamRegistry, h: float = 1e-5, tol: float = 1e-4,
         aflat = analytic[path].ravel()
         for i in idxs:
             old = flat[i]
-            flat[i] = old + h
+            flat[i] = old + H
             fp = f().item()
-            flat[i] = old - h
+            flat[i] = old - H
             fm = f().item()
             flat[i] = old
-            numeric = (fp - fm) / (2.0 * h)
+            numeric = (fp - fm) / (2.0 * H)
             report.record(_rel_err(aflat[i], numeric))
     params.zero_grads()
     return report

@@ -84,8 +84,3 @@ def linear(x: Tensor, params: ParamRegistry, prefix: str) -> Tensor:
     x is one d_in vector or an N x d_in matrix of rows."""
     return T.linear(x, params.get(prefix + ".w"), params.get(prefix + ".b"))
 
-
-def register_conv(params: ParamRegistry, rng, prefix: str, c_in: int, c_out: int, k: int):
-    """Register conv kernels (c_out x c_in x k x k) and bias (c_out)."""
-    w = kaiming_uniform(rng, (c_out, c_in, k, k), fan_in=c_in * k * k)
-    return params.register(prefix + ".w", w), params.register(prefix + ".b", np.zeros(c_out))

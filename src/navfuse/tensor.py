@@ -490,41 +490,42 @@ BN_MOMENTUM = 0.1
 
 def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
                training: bool) -> Tensor:
-    """Normalize N x C over the batch axis; running stats updated in place in train mode."""
+    """Normalize each channel of a C x H x W map over its H*W pixels; running
+    stats updated in place in train mode."""
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
-    if x.data.ndim != 2:
-        raise DimensionError("batch_norm expects an N x C input")
-    n = x.data.shape[0]
+    if x.data.ndim != 3:
+        raise DimensionError("batch_norm expects a C x H x W input")
+    c, h, w = x.data.shape
+    axes = (1, 2)  # each channel's pixels
     if training:
-        if n < 2:
-            raise DimensionError("batch_norm train mode needs N >= 2")
-        mean = x.data.mean(axis=0)
-        var = x.data.var(axis=0)  # biased
+        if h * w < 2:
+            raise DimensionError("batch_norm train mode needs H*W >= 2")
+        mean, var = x.data.mean(axis=axes), x.data.var(axis=axes)  # biased
         running_mean *= 1.0 - BN_MOMENTUM
         running_mean += BN_MOMENTUM * mean
         running_var *= 1.0 - BN_MOMENTUM
         running_var += BN_MOMENTUM * var
     else:
-        mean = running_mean
-        var = running_var
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        mean, var = running_mean, running_var
+    # each channel's values as C x 1 x 1, broadcast over its pixels
+    mean, inv_std, g3, b3 = (v.reshape(c, 1, 1) for v in (
+        mean, 1.0 / np.sqrt(var + BN_EPS), gamma.data, beta.data))
     xhat = (x.data - mean) * inv_std
-    out = Tensor(xhat * gamma.data + beta.data)
+    out = Tensor(xhat * g3 + b3)
     need = _on_tape(x, gamma, beta)
     if need:
         need_x, need_gamma, need_beta = need
         def bwd(g):
             if need_gamma:
-                gamma._accumulate((g * xhat).sum(axis=0))
+                gamma._accumulate((g * xhat).sum(axis=axes))
             if need_beta:
-                beta._accumulate(g.sum(axis=0))
+                beta._accumulate(g.sum(axis=axes))
             if need_x:
-                gx = g * gamma.data
-                if training:
-                    x._accumulate(inv_std / n * (
-                        n * gx - gx.sum(axis=0) - xhat * (gx * xhat).sum(axis=0)))
-                else:
-                    x._accumulate(gx * inv_std)
+                gx = g * g3
+                if training:  # the paths through the batch mean and variance
+                    gx = (gx - gx.mean(axis=axes, keepdims=True)
+                          - xhat * (gx * xhat).mean(axis=axes, keepdims=True))
+                x._accumulate(gx * inv_std)
         _record(out, (x, gamma, beta), bwd)
     return out
 

@@ -139,7 +139,7 @@ def test_rgb_grad_check_16x16():
         out = rgb_forward(img, depth, cfg, params, buffers, mode="eval")
         return T.tsum(T.tanh(out))
 
-    rep = grad_check(f, params, h=1e-6, tol=1e-4, entries_per_param=3, rng=make_rng(3))
+    rep = grad_check(f, params, entries_per_param=3, rng=make_rng(3))
     assert rep.passed, rep.max_rel_err
 
 
@@ -327,7 +327,7 @@ def test_point_forward_grad_check():
         out = point_forward(cloud, cfg, params, rng=make_rng(0))
         return T.tsum(T.tanh(out))
 
-    rep = grad_check(f, params, h=1e-6, tol=1e-4, entries_per_param=4, rng=make_rng(2))
+    rep = grad_check(f, params, entries_per_param=4, rng=make_rng(2))
     assert rep.passed, rep.max_rel_err
 
 

@@ -186,6 +186,19 @@ def test_restore_shape_mismatch(tmp_path):
         load_model(path)
 
 
+def test_conv_bias_checkpoint_is_checkpoint_error(tmp_path):
+    # the RGB stages' convs once carried a bias; a checkpoint holding one
+    # does not match the bias-free model
+    model = init_pipeline(small_pipeline_config(), seed=0)
+    state = model.params.state_dict()
+    for i, c in enumerate(model.cfg.rgb.stage_channels):
+        state[f"rgb.stage{i}.conv.b"] = np.zeros(c)
+    path = str(tmp_path / "biased.bin")
+    save_checkpoint(_model_ckpt(model, params=state), path)
+    with pytest.raises(CheckpointError, match=r"rgb\.stage0\.conv\.b"):
+        load_model(path)
+
+
 def test_empty_snapshot_is_the_default_pipeline(tmp_path):
     # config={} is the default pipeline, which the small model's arrays do
     # not fit

@@ -277,14 +277,28 @@ def synth_tree(tmp_path_factory):
 
 @pytest.mark.parametrize("key, value", [("window", 0), ("n_ref", 0), ("hidden_dim", 0),
                                         ("fusion_dim", -16), ("max_step", 0.0),
-                                        ("depth_max", -1.0), ("tau_img", 0.0)])
+                                        ("depth_max", -1.0), ("tau_img", 0.0),
+                                        ("beta", float("nan")), ("tau_img", float("inf"))])
 def test_pipeline_out_of_range_is_usage_error(synth_tree, tmp_path, key, value):
-    # on a tree that evaluates: the value alone makes eval exit 2
+    # on a tree that evaluates: the value alone makes eval exit 2; a NaN
+    # passes every `<` range check, so the type check rejects it
     data = yaml.safe_load(synth_tree.read_text())
     data["pipeline"][key] = value
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(yaml.safe_dump(data))
     assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 2
+
+
+@pytest.mark.parametrize("text, code", [("data: {lookahead_m: -1.0}\n", 2),
+                                        ("data: {na_threshold: 0}\n", 2),
+                                        ("data: {lookahead_m: .nan}\n", 2),
+                                        ("data: {lookahead_m: 1.0}\n", 3)])
+def test_data_out_of_range_is_usage_error_before_loading(tmp_path, text, code):
+    # the root does not exist, so loading the data exits 3 (the control case)
+    data = _merged(yaml.safe_load(text), {"data": {"root": str(tmp_path / "none")}})
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(data))
+    assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "e")]) == code
 
 
 def _merged(base: dict, update: dict) -> dict:
@@ -409,6 +423,17 @@ def test_invalid_checkpoint_snapshot_is_io_error(rgb_run, tmp_path):
     train_cfg, _, ckpt_path = rgb_run
     ckpt = load_checkpoint(str(ckpt_path))
     ckpt.config["pipeline"]["beta"] = -1
+    bad = tmp_path / "bad.bin"
+    save_checkpoint(ckpt, str(bad))
+    assert main(["eval", "--config", str(train_cfg), "--checkpoint", str(bad),
+                 "--out", str(tmp_path / "e")]) == 3
+
+
+def test_non_finite_checkpoint_snapshot_is_io_error(rgb_run, tmp_path):
+    # json writes the NaN as a bare NaN token, which json reads back
+    train_cfg, _, ckpt_path = rgb_run
+    ckpt = load_checkpoint(str(ckpt_path))
+    ckpt.config["pipeline"]["beta"] = float("nan")
     bad = tmp_path / "bad.bin"
     save_checkpoint(ckpt, str(bad))
     assert main(["eval", "--config", str(train_cfg), "--checkpoint", str(bad),

@@ -128,7 +128,7 @@ def test_semantic_map_grad_check():
     def f():
         return T.tsum(semantic_map(x, params, "rgb"))
 
-    rep = grad_check(f, params, h=1e-6, tol=1e-4)
+    rep = grad_check(f, params)
     assert rep.passed, rep.max_rel_err
 
 
@@ -253,5 +253,5 @@ def test_fusion_grad_check():
         w = fusion_weights(fr, fl, rel, params)
         return T.tsum(T.tanh(fuse(fr, fl, w, rel).vector))
 
-    rep = grad_check(f, params, h=1e-6, tol=1e-4)
+    rep = grad_check(f, params)
     assert rep.passed, rep.max_rel_err

@@ -98,7 +98,7 @@ def test_gru_grad_check_unrolled_3_steps():
             h = recurrent_step(x, h, params)
         return T.tsum(T.tanh(h))
 
-    rep = grad_check(f, params, h=1e-6, tol=1e-4)
+    rep = grad_check(f, params)
     assert rep.passed, rep.max_rel_err
 
 
@@ -176,7 +176,7 @@ def test_decision_grad_check():
         _, out5 = decision_forward(h, Tensor(np.ones(5)), Tensor(np.ones(5)), params)
         return nav_loss(out5, np.array([1.0, 0.5]), np.array([0.1, 0.2, 0.3]))
 
-    rep = grad_check(f, params, h=1e-6, tol=1e-4)
+    rep = grad_check(f, params)
     assert rep.passed, rep.max_rel_err
 
 
