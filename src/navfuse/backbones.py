@@ -14,8 +14,6 @@ from .kitti import Image, PointCloud
 from .params import ParamRegistry, kaiming_uniform, linear, register_linear
 from .tensor import Tensor
 
-MASK_NEG = -1e30
-
 
 @dataclass
 class RgbBranchConfig:
@@ -193,12 +191,16 @@ def fps_sample(cloud: PointCloud, k: int) -> list[int]:
     diff = xyz - xyz[0]
     d2 = np.einsum("ij,ij->i", diff, diff)
     # per-round distances via the |x|^2 + |c|^2 - 2 x.c expansion: one gemv
-    # instead of an n x 3 subtract + reduce
+    # instead of an n x 3 subtract + reduce; scaling by -2 is exact, so
+    # (-2 x).c equals -2 (x.c) bitwise
     sq = np.einsum("ij,ij->i", xyz, xyz)
+    neg2_xyz = -2.0 * xyz
     for _ in range(k - 1):
-        nxt = int(np.argmax(d2))  # argmax returns the first (lowest) index on ties
+        nxt = int(d2.argmax())  # argmax returns the first (lowest) index on ties
         chosen.append(nxt)
-        np.minimum(d2, sq + sq[nxt] - 2.0 * (xyz @ xyz[nxt]), out=d2)
+        d2_new = neg2_xyz @ xyz[nxt]
+        d2_new += sq + sq[nxt]
+        np.minimum(d2, d2_new, out=d2)
     return chosen
 
 
@@ -217,14 +219,11 @@ def init_point_params(cfg: PointBranchConfig, params: ParamRegistry, rng):
 def group_and_encode(cloud_cam: PointCloud, centroids: list[int],
                      cfg: PointBranchConfig, params: ParamRegistry) -> Tensor:
     """Ball-query groups in local coordinates through a shared MLP with
-    attention pooling (softmax-weighted sum, not max-pool)."""
+    attention pooling (softmax-weighted sum, not max-pool); only the in-ball
+    neighbours, at most group_cap per centroid, reach the MLP."""
     xyz = cloud_cam.xyz
-    refl = cloud_cam.reflectance
-    m = len(centroids)
-    n = xyz.shape[0]
-    cap = min(cfg.group_cap, n)
+    cap = min(cfg.group_cap, xyz.shape[0])
     centers = xyz[centroids]
-    r2 = cfg.radius ** 2
     # rank neighbors by the |c|^2 + |x|^2 - 2 c.x expansion (one BLAS matmul
     # instead of an m x n x 3 broadcast); the cap nearest overall contain the
     # nearest-in-ball capped set, since sorted order puts every in-ball point
@@ -234,25 +233,16 @@ def group_and_encode(cloud_cam: PointCloud, centroids: list[int],
     sel = np.argpartition(d2_rank, cap - 1, axis=1)[:, :cap]
     # exact differences on the selected pairs keep the local features
     # translation invariant to the last bit
-    local_raw = xyz[sel] - centers[:, None, :]
-    d2_sel = np.einsum("mcd,mcd->mc", local_raw, local_raw)
-    valid = d2_sel <= r2
-    local = local_raw * valid[..., None]
-    dist = np.sqrt(d2_sel) * valid
-    refl_g = refl[sel] * valid
-    feats_in = np.concatenate([local, dist[..., None], refl_g[..., None]], axis=2)
-    x = Tensor(feats_in.reshape(m * cap, 5))
+    local = xyz[sel] - centers[:, None, :]
+    d2 = np.einsum("mcd,mcd->mc", local, local)
+    # rows in centroid order; each centroid is in its own ball, so no group is empty
+    seg, slot = np.nonzero(d2 <= cfg.radius ** 2)
+    x = Tensor(np.column_stack([local[seg, slot], np.sqrt(d2[seg, slot]),
+                                cloud_cam.reflectance[sel[seg, slot]]]))
     for i in range(len(cfg.mlp_dims)):
         x = T.relu(linear(x, params, f"point.mlp{i}"))
-    d_out = cfg.mlp_dims[-1]
     scores = T.matmul(x, params.get("point.group_score.w"))
-    scores = T.reshape(scores, (m, cap))
-    scores = T.add(scores, Tensor(np.where(valid, 0.0, MASK_NEG)))
-    # groups with no member keep a zero feature
-    any_valid = valid.any(axis=1)
-    weights = T.softmax(scores, axis=1)
-    weights = T.mul(weights, Tensor(any_valid[:, None].astype(np.float64)))
-    return T.weighted_sum(T.reshape(x, (m, cap, d_out)), weights, axis=1)
+    return T.segment_pool(x, T.reshape(scores, (len(seg),)), seg)
 
 
 def point_forward(cloud_cam: PointCloud, cfg: PointBranchConfig,
@@ -268,18 +258,11 @@ def point_forward(cloud_cam: PointCloud, cfg: PointBranchConfig,
         if rng is None:
             raise ContractError("subsampling above input_budget needs an explicit rng")
         idx = np.sort(rng.choice(n, size=cfg.input_budget, replace=False))
-        work = PointCloud(points=cloud_cam.points[idx])
-        centroids = fps_sample(work, k)
-    else:
-        reps = np.resize(np.arange(n), cfg.input_budget)
-        work = PointCloud(points=cloud_cam.points[reps])
-        # the padded cloud starts with the original rows, and FPS never picks
-        # a repeat before its original, so the indices hold in both
-        centroids = fps_sample(cloud_cam, k)
-    grouped = group_and_encode(work, centroids, cfg, params)
+        cloud_cam = PointCloud(points=cloud_cam.points[idx])
+    centroids = fps_sample(cloud_cam, k)
+    grouped = group_and_encode(cloud_cam, centroids, cfg, params)
     scores = T.matmul(grouped, params.get("point.global_score.w"))
-    weights = T.softmax(T.reshape(scores, (len(centroids),)))
-    pooled = T.weighted_sum(grouped, weights, axis=0)
-    vector = linear(pooled, params, "point.out")
+    pooled = T.segment_pool(grouped, T.reshape(scores, (k,)), np.zeros(k, dtype=np.intp))
+    vector = linear(T.reshape(pooled, (-1,)), params, "point.out")
     T.assert_finite(vector, "point branch output")
     return vector

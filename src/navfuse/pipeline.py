@@ -45,8 +45,8 @@ class PipelineConfig:
         self.point.validate()
         if self.modality not in ("rgb", "lidar", "both"):
             raise ConfigError(f"unknown modality {self.modality!r}")
-        if self.beta < 0:
-            raise ConfigError("beta must be >= 0")
+        if not (np.isfinite(self.beta) and self.beta >= 0):
+            raise ConfigError("beta must be finite and >= 0")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ConfigError("dropout_rate must be in [0, 1)")
         if self.window < 1 or self.n_ref < 1:

@@ -14,7 +14,7 @@ leaf's, is copied into a fresh array laid out like the node's data; a leaf
 adds later gradients in place, an inner node into a new array, since its
 slot may be shared. Each closure also notes at record time which operands
 are on the tape, and computes no gradient for constants (group features,
-the image input, masks).
+the image input, labels).
 
 Inside ``no_grad()`` no op records: outputs carry no closure, mask or
 parents, and forward values are unchanged. A pipeline step without a label
@@ -379,26 +379,39 @@ def linear(x, w, b) -> Tensor:
     return out
 
 
-def weighted_sum(x, w, axis: int) -> Tensor:
-    """Sum of the rows of x weighted by w along axis: (x * w[..., None]).sum(axis),
-    where w has the shape of x without its last (feature) axis."""
-    x, w = _wrap(x), _wrap(w)
-    if x.data.shape[:-1] != w.data.shape or not 0 <= axis < w.data.ndim:
-        raise DimensionError(f"weighted_sum needs weights shaped like x without its last "
-                             f"axis and a weight axis, got {x.data.shape}, "
-                             f"{w.data.shape} and axis {axis}")
-    w3 = w.data[..., None]
-    out = Tensor((x.data * w3).sum(axis))
-    need = _on_tape(x, w)
+def segment_pool(x, scores, seg) -> Tensor:
+    """Attention pooling of the rows of a V x d matrix x by segment: each
+    segment's rows summed with the softmax of their (V,) scores as weights.
+
+    seg gives each row's segment, non-decreasing from 0 in steps of 0 or 1,
+    so that no segment is empty; row s of the S x d output pools segment s.
+    """
+    x, scores = _wrap(x), _wrap(scores)
+    seg = np.asarray(seg)
+    v = x.data.shape[0] if x.data.ndim == 2 else -1
+    if scores.data.shape != (v,) or seg.shape != (v,):
+        raise DimensionError(f"segment_pool needs a V x d x, V scores and V segment ids, "
+                             f"got {x.data.shape}, {scores.data.shape} and {seg.shape}")
+    steps = np.diff(seg, prepend=-1)
+    if v == 0 or steps[0] != 1 or not np.all((steps == 0) | (steps == 1)):
+        raise ContractError("segment_pool needs segment ids that start at 0 and rise by 0 or 1")
+    starts = np.flatnonzero(steps)
+    e = np.exp(scores.data - np.maximum.reduceat(scores.data, starts)[seg])
+    w = e / np.add.reduceat(e, starts)[seg]
+    y = np.add.reduceat(x.data * w[:, None], starts, axis=0)
+    out = Tensor(y)
+    need = _on_tape(x, scores)
     if need:
-        need_x, need_w = need
+        need_x, need_s = need
         def bwd(g):
-            gb = np.expand_dims(g, axis)
+            g_rows = g[seg]
+            if need_s:  # w * (g . x - g . y) per row, row dots without a V x d product
+                dots = np.einsum("vd,vd->v", g_rows, x.data)
+                scores._accumulate(w * (dots - np.einsum("sd,sd->s", g, y)[seg]))
             if need_x:
-                x._accumulate(gb * w3)
-            if need_w:
-                w._accumulate((gb * x.data).sum(-1))
-        _record(out, (x, w), bwd)
+                g_rows *= w[:, None]
+                x._accumulate(g_rows)
+        _record(out, (x, scores), bwd)
     return out
 
 

@@ -37,10 +37,13 @@ OP_CLOSURES = [
     ("matmul_vec", lambda p: T.tsum(T.tanh(T.matmul(p["row"], p["b2"])))),
     ("linear", lambda p: T.tsum(T.tanh(T.linear(p["a2"], p["b2"], p["bias"])))),
     ("linear_vec", lambda p: T.tsum(T.tanh(T.linear(p["row"], p["b2"], p["bias"])))),
-    # both pooling shapes of the point branch: over a group's slots and over groups
-    ("weighted_sum", lambda p: T.add(
-        T.tsum(T.tanh(T.weighted_sum(p["img"], p["wts"], axis=1))),
-        T.tsum(T.tanh(T.weighted_sum(p["img"], p["wts"], axis=0))))),
+    # both pooling shapes of the point branch on img's 10-14 rows of 6: groups
+    # of uneven size (1, 3 and the rest) and one global segment
+    ("segment_pool", lambda p: T.add(
+        T.tsum(T.tanh(T.segment_pool(T.reshape(p["img"], (-1, 6)), T.reshape(p["wts"], (-1,)),
+                                     np.repeat([0, 1, 2], [1, 3, p["wts"].data.size - 4])))),
+        T.tsum(T.tanh(T.segment_pool(T.reshape(p["img"], (-1, 6)), T.reshape(p["wts"], (-1,)),
+                                     np.zeros(p["wts"].data.size, dtype=np.intp)))))),
     ("softmax", lambda p: T.tsum(T.mul(T.softmax(p["vec"]), p["vec"]))),
     ("conv2d", lambda p: T.tsum(T.tanh(T.conv2d(p["img"], p["ker"], stride=1, pad=1)))),
     # the RGB branch's strided conv; img is 5-7 x 6, so its output sizes come

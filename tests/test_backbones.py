@@ -203,23 +203,6 @@ def test_fps_distinct_points_distinct_choices():
     assert len(set(idx)) == 10
 
 
-@pytest.mark.parametrize("scenario", SCENARIOS)
-def test_fps_on_unpadded_cloud_picks_the_padded_centroids(scenario):
-    # point_forward samples the cloud before padding it to the budget; a
-    # repeat ties with its original and loses, so the lists must match
-    cfg = PointBranchConfig()
-    world, spec = preset_scenario(scenario, frames=21)
-    frames = synth_sequence(world, 21, CameraConfig(), LidarConfig())
-    rng = make_rng(3)
-    for lf in frames[::5]:
-        cloud = lidar_to_camera(degrade_cloud(lf.frame.cloud, spec, rng), lf.frame.calib)
-        n = len(cloud)
-        assert n < cfg.input_budget
-        padded = PointCloud(points=cloud.points[np.resize(np.arange(n), cfg.input_budget)])
-        k = dynamic_sample_count(cloud, cfg)
-        assert fps_sample(cloud, k) == fps_sample(padded, k)
-
-
 # -- grouping ----------------------------------------------------------
 
 
@@ -275,6 +258,66 @@ def test_group_isolated_centroids_finite():
     out = group_and_encode(cloud, [0, 1, 2], cfg, params).data
     assert out.shape == (3, 4)
     assert np.all(np.isfinite(out))
+
+
+def _masked_group_pool(cloud, centroids, cfg, params):
+    """Reference grouping: every one of the m x group_cap nearest slots goes
+    through the MLP, and the out-of-ball ones are masked out of the softmax."""
+    xyz = cloud.xyz
+    cap = min(cfg.group_cap, len(xyz))
+    centers = xyz[centroids]
+    sq = np.einsum("nd,nd->n", xyz, xyz)
+    d2_rank = sq[centroids, None] + sq[None, :] - 2.0 * (centers @ xyz.T)
+    sel = np.argpartition(d2_rank, cap - 1, axis=1)[:, :cap]
+    local = xyz[sel] - centers[:, None, :]
+    d2 = np.einsum("mcd,mcd->mc", local, local)
+    valid = d2 <= cfg.radius ** 2
+    x = np.concatenate([local * valid[..., None], (np.sqrt(d2) * valid)[..., None],
+                        (cloud.reflectance[sel] * valid)[..., None]], axis=2)
+    for i in range(len(cfg.mlp_dims)):
+        x = np.maximum(x @ params.get(f"point.mlp{i}.w").data
+                       + params.get(f"point.mlp{i}.b").data, 0.0)
+    scores = np.where(valid, (x @ params.get("point.group_score.w").data)[..., 0], -1e30)
+    w = np.exp(scores - scores.max(axis=1, keepdims=True))
+    w /= w.sum(axis=1, keepdims=True)
+    return (x * w[..., None]).sum(axis=1)
+
+
+def _random_point_params(cfg, seed):
+    params = ParamRegistry()
+    rng = make_rng(seed)
+    init_point_params(cfg, params, rng)
+    params.get("point.group_score.w").data = rng.normal(size=(cfg.mlp_dims[-1], 1))
+    return params
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_group_matches_the_masked_slot_softmax(scenario):
+    cfg = PointBranchConfig()
+    params = _random_point_params(cfg, 8)
+    world, spec = preset_scenario(scenario, frames=21)
+    frames = synth_sequence(world, 21, CameraConfig(), LidarConfig())
+    rng = make_rng(3)
+    for lf in frames[::5]:
+        cloud = lidar_to_camera(degrade_cloud(lf.frame.cloud, spec, rng), lf.frame.calib)
+        assert len(cloud) < cfg.input_budget
+        centroids = fps_sample(cloud, dynamic_sample_count(cloud, cfg))
+        np.testing.assert_allclose(group_and_encode(cloud, centroids, cfg, params).data,
+                                   _masked_group_pool(cloud, centroids, cfg, params),
+                                   rtol=0, atol=1e-12)
+
+
+def test_group_ignores_points_outside_every_ball():
+    # 6 points, fewer than group_cap; the appended 10 lift the cloud above it
+    cfg = _small_point_cfg()
+    params = _random_point_params(cfg, 9)
+    rng = make_rng(10)
+    cloud = _cloud(rng.normal(size=(6, 3)), refl=rng.uniform(0, 1, 6))
+    far = _cloud(rng.normal(size=(10, 3)) + 50.0, refl=rng.uniform(0, 1, 10))
+    grown = PointCloud(points=np.concatenate([cloud.points, far.points]))
+    np.testing.assert_allclose(group_and_encode(grown, [0, 2, 5], cfg, params).data,
+                               group_and_encode(cloud, [0, 2, 5], cfg, params).data,
+                               rtol=0, atol=1e-12)
 
 
 # -- point forward -----------------------------------------------------

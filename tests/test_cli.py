@@ -289,6 +289,12 @@ def test_pipeline_out_of_range_is_usage_error(synth_tree, tmp_path, key, value):
     assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 2
 
 
+@pytest.mark.parametrize("beta", ["nan", "inf", "-1"])
+def test_beta_flag_out_of_range_is_usage_error(synth_tree, tmp_path, beta):
+    assert main(["eval", "--config", str(synth_tree), "--out", str(tmp_path / "e"),
+                 "--beta", beta]) == 2
+
+
 @pytest.mark.parametrize("text, code", [("data: {lookahead_m: -1.0}\n", 2),
                                         ("data: {na_threshold: 0}\n", 2),
                                         ("data: {lookahead_m: .nan}\n", 2),

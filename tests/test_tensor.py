@@ -95,30 +95,47 @@ def test_linear_node_bitwise_equals_matmul_then_add(x_shape, d_out):
         assert got.tobytes() == want.tobytes()
 
 
-# group pooling (m x cap x d over the slots) and global pooling (m x d over groups)
-@pytest.mark.parametrize("x_shape,axis", [((180, 32, 64), 1), ((180, 64), 0)])
-def test_weighted_sum_bitwise_equals_mul_then_sum(x_shape, axis):
-    rng = make_rng(len(x_shape))
-    x0, w0 = rng.normal(size=x_shape), rng.normal(size=x_shape[:-1])
-    upstream = rng.normal(size=x_shape[:axis] + x_shape[axis + 1:])
+def _dense_segment_pool(x, scores, seg):
+    """Per-segment softmax and weighted sum, one segment at a time."""
+    rows = []
+    for s in range(seg[-1] + 1):
+        mine = seg == s
+        rows.append(T.tsum(T.mul(x[mine], T.reshape(T.softmax(scores[mine]), (-1, 1))), axis=0))
+    return T.concat([T.reshape(r, (1, -1)) for r in rows], axis=0)
+
+
+# groups of uneven size with a singleton (the group pooling) and one segment
+# (the global pooling)
+@pytest.mark.parametrize("sizes", [(1, 5, 2, 7, 1), (12,)])
+def test_segment_pool_matches_dense_per_segment_softmax(sizes):
+    rng = make_rng(len(sizes))
+    seg = np.repeat(np.arange(len(sizes)), sizes)
+    x0, s0 = rng.normal(size=(len(seg), 4)), 3.0 * rng.normal(size=len(seg))
+    upstream = rng.normal(size=(len(sizes), 4))
 
     def run(pool):
-        x, w = T.Tensor(x0.copy(), requires_grad=True), T.Tensor(w0.copy(), requires_grad=True)
-        y = pool(x, w)
+        x, s = T.Tensor(x0.copy(), requires_grad=True), T.Tensor(s0.copy(), requires_grad=True)
+        y = pool(x, s, seg)
         T.tsum(T.mul(y, upstream)).backward()
-        return y.data, x.grad, w.grad
+        return y.data, x.grad, s.grad
 
-    one_node = run(lambda x, w: T.weighted_sum(x, w, axis))
-    three_nodes = run(lambda x, w: T.tsum(T.mul(x, T.reshape(w, w0.shape + (1,))), axis=axis))
-    for got, want in zip(one_node, three_nodes):
-        assert got.tobytes() == want.tobytes()
+    for got, want in zip(run(T.segment_pool), run(_dense_segment_pool)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("x_shape,w_shape,axis", [((4, 3, 2), (4, 2), 1), ((4, 3), (4,), 1),
-                                                  ((4, 3), (4,), -1)])
-def test_weighted_sum_rejects_mismatched_weights(x_shape, w_shape, axis):
+@pytest.mark.parametrize("x_shape,s_len,seg_len", [((5, 3), 4, 5), ((5, 3), 5, 4),
+                                                   ((4, 3), 5, 5), ((5,), 5, 5)])
+def test_segment_pool_rejects_mismatched_lengths(x_shape, s_len, seg_len):
     with pytest.raises(DimensionError):
-        T.weighted_sum(T.Tensor(np.zeros(x_shape)), T.Tensor(np.zeros(w_shape)), axis)
+        T.segment_pool(T.Tensor(np.zeros(x_shape)), T.Tensor(np.zeros(s_len)),
+                       np.zeros(seg_len, dtype=int))
+
+
+@pytest.mark.parametrize("seg", [[1, 1, 2], [0, 2, 2], [0, 1, 0], []])
+def test_segment_pool_rejects_unordered_or_empty_segments(seg):
+    with pytest.raises(ContractError):
+        T.segment_pool(T.Tensor(np.zeros((len(seg), 2))), T.Tensor(np.zeros(len(seg))),
+                       np.array(seg, dtype=int))
 
 
 def test_linear_keeps_matmul_shape_checks():
