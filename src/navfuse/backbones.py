@@ -81,7 +81,7 @@ def attention_block(x: Tensor, heads: int, params: ParamRegistry, prefix: str) -
     q = T.matmul(x, params.get(f"{prefix}.wq"))
     k = T.matmul(x, params.get(f"{prefix}.wk"))
     v = T.matmul(x, params.get(f"{prefix}.wv"))
-    scale = 1.0 / np.sqrt(dh)
+    scale = dh ** -0.5
     head_outs = []
     for h in range(heads):
         sl = slice(h * dh, (h + 1) * dh)
@@ -109,8 +109,8 @@ def init_rgb_params(cfg: RgbBranchConfig, params: ParamRegistry, rng) -> dict[st
                         kaiming_uniform(rng, (c_out, c_in, 1, 1), fan_in=c_in))
         params.register(f"rgb.stage{i}.bn.gamma", np.ones(c_out))
         params.register(f"rgb.stage{i}.bn.beta", np.zeros(c_out))
-        buffers[f"rgb.stage{i}.bn.mean"] = np.zeros(c_out)
-        buffers[f"rgb.stage{i}.bn.var"] = np.ones(c_out)
+        buffers[f"rgb.stage{i}.bn.mean"] = np.zeros(c_out, dtype=T.DTYPE)
+        buffers[f"rgb.stage{i}.bn.var"] = np.ones(c_out, dtype=T.DTYPE)
         register_linear(params, rng, f"rgb.stage_proj{i}", c_out, cfg.out_dim)
         c_in = c_out
     register_linear(params, rng, "rgb.tokproj", cfg.stage_channels[-1], cfg.attn_dim)
@@ -130,7 +130,7 @@ def rgb_forward(image: Image, sparse_depth: Tensor, cfg: RgbBranchConfig,
     if sparse_depth.shape != (1, h, w):
         raise DimensionError(f"sparse depth shape {sparse_depth.shape} != (1, {h}, {w})")
     training = mode == "train"
-    rgb = Tensor(image.pixels.astype(np.float64).transpose(2, 0, 1) / 255.0)
+    rgb = Tensor(image.pixels.transpose(2, 0, 1).astype(T.DTYPE) / 255.0)
     x = T.concat([rgb, sparse_depth], axis=0)
     stage_summaries = []
     for i, stride in enumerate(cfg.strides):

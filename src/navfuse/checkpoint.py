@@ -4,7 +4,7 @@ Layout: 8-byte magic, 4-byte LE header length, JSON header (UTF-8), then a
 single little-endian float64 payload. The header records the format version,
 a config snapshot, and the name/shape/offset of every parameter and buffer
 array in the payload, so a reader needs nothing but this file to reconstruct
-the model. No optimizer state is stored.
+the model; float32 arrays round-trip exactly. No optimizer state is stored.
 """
 
 from __future__ import annotations

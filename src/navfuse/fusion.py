@@ -91,16 +91,16 @@ def fusion_weights(f_rgb: Tensor, f_lidar: Tensor, rel: ReliabilityScores,
     into the differentiable 2-vector (w_rgb, w_lidar).
 
     The additive log-reliability term makes w_m strictly increasing in r_m
-    for beta > 0.
+    for beta > 0. The larger weight is sigmoid(|logit gap|) >= 0.5 and the
+    other is one minus it, exact by the Sterbenz lemma: the pair sums to 1.
     """
     rel.validate()
     v = params.get("fuse.gate_v")
-    logits = []
-    for which, feat, r in (("rgb", f_rgb, rel.r_rgb), ("lidar", f_lidar, rel.r_lidar)):
-        u = params.get(f"fuse.gate_u_{which}")
-        content = T.tsum(T.mul(T.tanh(T.matmul(feat, v)), u))
-        logits.append(T.add(T.reshape(content, (1,)), beta * np.log(r)))
-    return T.softmax(T.concat(logits, axis=0))
+    rgb, lidar = (T.tsum(T.mul(T.tanh(T.matmul(feat, v)), params.get(f"fuse.gate_u_{which}")))
+                  for which, feat in (("rgb", f_rgb), ("lidar", f_lidar)))
+    gap = T.add(T.add(rgb, T.mul(lidar, -1.0)), beta * float(np.log(rel.r_rgb / rel.r_lidar)))
+    s = 1.0 if gap.data >= 0 else -1.0
+    return T.add(T.mul(T.sigmoid(T.mul(gap, s)), [s, -s]), [0.0, 1.0] if s > 0 else [1.0, 0.0])
 
 
 def fuse(f_rgb: Tensor, f_lidar: Tensor, w: Tensor, rel: ReliabilityScores) -> FusedFeature:

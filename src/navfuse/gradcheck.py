@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor as T
 from .errors import ContractError
 from .params import ParamRegistry
 
@@ -39,7 +40,21 @@ def grad_check(f, params: ParamRegistry, entries_per_param: int | None = None,
     f must be a deterministic closure returning a scalar loss Tensor over the
     current registry values. With entries_per_param set, a seeded random
     subset of each parameter's entries is probed instead of all of them.
+    It runs under tensor.float64() on float64 copies of the parameter arrays.
     """
+    originals = {path: p.data for path, p in params.items()}
+    for _, p in params.items():
+        p.data = p.data.astype(np.float64)
+    try:
+        with T.float64():
+            return _check(f, params, entries_per_param, rng)
+    finally:
+        params.zero_grads()
+        for path, p in params.items():
+            p.data = originals[path]
+
+
+def _check(f, params: ParamRegistry, entries_per_param, rng) -> GradCheckReport:
     params.zero_grads()
     loss = f()
     v0 = loss.item()
@@ -70,5 +85,4 @@ def grad_check(f, params: ParamRegistry, entries_per_param: int | None = None,
             flat[i] = old
             numeric = (fp - fm) / (2.0 * H)
             report.record(_rel_err(aflat[i], numeric))
-    params.zero_grads()
     return report

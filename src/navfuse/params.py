@@ -25,7 +25,7 @@ class ParamRegistry:
     def register(self, path: str, data: np.ndarray) -> Tensor:
         if path in self._entries:
             raise ContractError(f"duplicate parameter path {path!r}")
-        t = Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
+        t = Tensor(data, requires_grad=True)
         self._entries[path] = t
         return t
 
@@ -58,10 +58,10 @@ class ParamRegistry:
             raise ContractError(f"state dict mismatch; missing={sorted(missing)} extra={sorted(extra)}")
         for k, v in state.items():
             cur = self._entries[k]
-            v = np.asarray(v, dtype=np.float64)
+            v = np.array(v, dtype=cur.data.dtype)  # a copy, cast to the parameter's dtype
             if v.shape != cur.data.shape:
                 raise ContractError(f"shape mismatch for {k!r}: {v.shape} vs {cur.data.shape}")
-            cur.data = v.copy()
+            cur.data = v
 
 
 def kaiming_uniform(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarray:

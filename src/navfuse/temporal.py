@@ -75,7 +75,7 @@ def temporal_attention(h: Tensor, window: list[Tensor], params: ParamRegistry) -
     stacked = T.reshape(T.concat(window, axis=0), (len(window), window[0].shape[0]))
     keys = T.matmul(stacked, params.get("tattn.k"))
     values = T.matmul(stacked, params.get("tattn.v"))
-    scores = T.mul(T.matmul(q, keys.T), 1.0 / np.sqrt(att_dim))
+    scores = T.mul(T.matmul(q, keys.T), att_dim ** -0.5)
     return T.matmul(T.softmax(scores), values)
 
 
@@ -107,7 +107,7 @@ def decision_forward(h: Tensor, context: Tensor, fused_t: Tensor,
 def nav_loss(out5: Tensor, waypoint: np.ndarray, ego_delta: np.ndarray,
              lambda_ego: float = 1.0) -> Tensor:
     """MSE on the waypoint plus weighted MSE on the ego-motion delta."""
-    wp_err = T.add(out5[:2], Tensor(-np.asarray(waypoint, dtype=np.float64)))
-    ego_err = T.add(out5[2:], Tensor(-np.asarray(ego_delta, dtype=np.float64)))
+    wp_err = T.add(out5[:2], Tensor(-np.asarray(waypoint)))
+    ego_err = T.add(out5[2:], Tensor(-np.asarray(ego_delta)))
     return T.add(T.tmean(T.mul(wp_err, wp_err)),
                  T.mul(T.tmean(T.mul(ego_err, ego_err)), lambda_ego))

@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode gradients.
+"""Dense float32 tensors with reverse-mode gradients.
 
 The tape is define-by-run: every op that touches a gradient-requiring
 tensor records a backward closure on its output node. ``backward`` on a
@@ -19,6 +19,9 @@ the image input, labels).
 Inside ``no_grad()`` no op records: outputs carry no closure, mask or
 parents, and forward values are unchanged. A pipeline step without a label
 has no loss and runs under it; so does validation, which never backprops.
+
+Every tensor holds ``DTYPE``, float32: inputs are cast as they become tensors.
+Only ``float64()`` switches it, for the gradient check's central differences.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=DTYPE)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -86,7 +89,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        self._accumulate(np.ones((), dtype=np.float64))
+        self._accumulate(np.ones((), dtype=DTYPE))
         for node in reversed(topo):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
@@ -113,11 +116,13 @@ class Tensor:
 
 
 def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
-# One flag for the whole process (not per thread); set only through no_grad().
+# Flags for the whole process (not per thread); _recording is set only through
+# no_grad(), and DTYPE, the dtype of every tensor made, only through float64().
 _recording = True
+DTYPE = np.float32
 
 
 @contextlib.contextmanager
@@ -130,6 +135,17 @@ def no_grad():
         yield
     finally:
         _recording = previous
+
+
+@contextlib.contextmanager
+def float64():
+    """Make tensors float64 inside the block; restored on exit as in no_grad()."""
+    global DTYPE
+    previous, DTYPE = DTYPE, np.float64
+    try:
+        yield
+    finally:
+        DTYPE = previous
 
 
 def _on_tape(*ts: Tensor) -> tuple[bool, ...] | None:
@@ -456,7 +472,7 @@ def _col2im(cols: np.ndarray, c: int, h: int, w: int, k: int, stride: int, pad: 
     hp, wp = h + 2 * pad, w + 2 * pad
     ho = (h + 2 * pad - k) // stride + 1
     wo = (w + 2 * pad - k) // stride + 1
-    x = np.zeros((c, hp, wp), dtype=np.float64)
+    x = np.zeros((c, hp, wp), dtype=DTYPE)
     cols = cols.reshape(c, k, k, ho, wo)
     for ki in range(k):
         for kj in range(k):
@@ -553,7 +569,7 @@ def dropout(x, rate: float, rng) -> Tensor:
     x = _wrap(x)
     if rate == 0.0:
         return x
-    mask = (rng.random(x.data.shape) >= rate).astype(np.float64) / (1.0 - rate)
+    mask = (rng.random(x.data.shape) >= rate).astype(DTYPE) / (1.0 - rate)
     out = Tensor(x.data * mask)
     if _on_tape(x):
         def bwd(g):

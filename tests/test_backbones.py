@@ -50,6 +50,7 @@ def test_attention_single_token_weight_is_one():
     np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
 
+@pytest.mark.usefixtures("float64")
 def test_attention_rows_simplex():
     rng = make_rng(1)
     params = ParamRegistry()
@@ -66,6 +67,7 @@ def test_attention_rows_simplex():
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
 
 
+@pytest.mark.usefixtures("float64")
 def test_attention_permutation_equivariant():
     rng = make_rng(2)
     params = ParamRegistry()
@@ -206,6 +208,7 @@ def test_fps_distinct_points_distinct_choices():
 # -- grouping ----------------------------------------------------------
 
 
+@pytest.mark.usefixtures("float64")
 def test_group_identical_points_symmetry():
     cfg = _small_point_cfg()
     params = ParamRegistry()
@@ -220,6 +223,7 @@ def test_group_identical_points_symmetry():
     np.testing.assert_allclose(out[0], x[0], atol=1e-12)
 
 
+@pytest.mark.usefixtures("float64")
 def test_group_singleton_weight_one():
     cfg = _small_point_cfg()
     params = ParamRegistry()
@@ -291,6 +295,7 @@ def _random_point_params(cfg, seed):
     return params
 
 
+@pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_group_matches_the_masked_slot_softmax(scenario):
     cfg = PointBranchConfig()

@@ -143,6 +143,7 @@ def test_weights_symmetry():
     assert w_lidar == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.usefixtures("float64")
 def test_weights_zero_content_hand_value():
     # zero-init gate u => content logits vanish; softmax(0, ln 0.5) = (2/3, 1/3)
     params = _params()
@@ -163,6 +164,66 @@ def test_weights_halving_reliability_decreases_weight():
     lo_rgb, lo_lidar = fusion_weights(f_rgb, f_lidar, ReliabilityScores(0.8, 0.4), params).data
     assert lo_lidar < hi_lidar
     assert lo_rgb > hi_rgb
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-8, -1e-8, 1.0, -1.0, 20.0, -20.0, 200.0, -200.0])
+def test_weights_sum_to_exactly_one_at_any_gap(gap):
+    # zero content logits: the logit gap is beta * ln(r_rgb / r_lidar), and
+    # ln(1 / e^-1) is 1
+    e1 = float(np.exp(-1.0))
+    rel = ReliabilityScores(1.0, e1) if gap >= 0 else ReliabilityScores(e1, 1.0)
+    rng = make_rng(20)
+    w = fusion_weights(Tensor(rng.normal(size=8)), Tensor(rng.normal(size=8)), rel,
+                       _params(), beta=abs(gap)).data
+    assert w.dtype == np.float32
+    assert float(w[0]) + float(w[1]) == 1.0
+    assert w[0] >= w[1] if gap >= 0 else w[0] <= w[1]
+
+
+def test_weights_sum_to_exactly_one_on_random_logits():
+    params = _params(seed=21)
+    rng = make_rng(22)
+    for which in ("rgb", "lidar"):
+        params.get(f"fuse.gate_u_{which}").data[:] = 3.0 * rng.normal(size=8)
+    for _ in range(1000):
+        rel = ReliabilityScores(*rng.uniform(REL_FLOOR, 1.0, size=2))
+        w_rgb, w_lidar = fusion_weights(Tensor(rng.normal(size=8)), Tensor(rng.normal(size=8)),
+                                        rel, params, beta=float(rng.uniform(0.0, 3.0))).data
+        assert float(w_rgb) + float(w_lidar) == 1.0
+
+
+def _softmax_gate(f_rgb, f_lidar, rel, params, beta):
+    """Reference gate: the softmax over the concatenated modality logits."""
+    v = params.get("fuse.gate_v")
+    logits = [T.add(T.reshape(T.tsum(T.mul(T.tanh(T.matmul(feat, v)),
+                                           params.get(f"fuse.gate_u_{which}"))), (1,)),
+                    beta * float(np.log(r)))
+              for which, feat, r in (("rgb", f_rgb, rel.r_rgb), ("lidar", f_lidar, rel.r_lidar))]
+    return T.softmax(T.concat(logits, axis=0))
+
+
+@pytest.mark.usefixtures("float64")
+@pytest.mark.parametrize("seed", range(6))
+def test_weights_match_the_softmax_gate_in_value_and_gradient(seed):
+    params = _params(seed=seed)
+    rng = make_rng(30 + seed)
+    for which in ("rgb", "lidar"):
+        params.get(f"fuse.gate_u_{which}").data[:] = 2.0 * rng.normal(size=8)
+    f_rgb, f_lidar = (params.register(name, rng.normal(size=8)) for name in ("f_rgb", "f_lidar"))
+    rel = ReliabilityScores(*rng.uniform(REL_FLOOR, 1.0, size=2))
+    upstream = rng.normal(size=2)
+
+    def run(gate):
+        params.zero_grads()
+        w = gate(f_rgb, f_lidar, rel, params, 1.5)
+        T.tsum(T.mul(w, upstream)).backward()
+        return w.data, {k: p.grad.copy() for k, p in params.items() if p.grad is not None}
+
+    (w, grads), (w_ref, grads_ref) = run(fusion_weights), run(_softmax_gate)
+    np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-12)
+    assert grads.keys() == grads_ref.keys() and {"f_rgb", "f_lidar"} <= grads.keys()
+    for k, g in grads_ref.items():
+        np.testing.assert_allclose(grads[k], g, rtol=0, atol=1e-12, err_msg=k)
 
 
 def test_weights_reliability_out_of_range():
@@ -224,8 +285,9 @@ def test_fuse_cancellation():
 def test_fuse_convex_combination(seed, w_rgb):
     rng = make_rng(seed)
     a, b = rng.normal(size=8), rng.normal(size=8)
-    out = fuse(Tensor(a), Tensor(b), Tensor(np.array([w_rgb, 1.0 - w_rgb])),
-               ReliabilityScores(1.0, 1.0)).vector.data
+    with T.float64():  # bounded to 1e-12, finer than float32 resolves
+        out = fuse(Tensor(a), Tensor(b), Tensor(np.array([w_rgb, 1.0 - w_rgb])),
+                   ReliabilityScores(1.0, 1.0)).vector.data
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
 

@@ -134,6 +134,7 @@ def test_render_range_and_monotone_under_removal():
     assert np.all(sub[both] >= full[both])
 
 
+@pytest.mark.usefixtures("float64")
 def test_render_arrays_matches_list_variant():
     rng = make_rng(2)
     n = 200

@@ -74,6 +74,7 @@ def test_gru_bounded_state():
         assert np.all(np.abs(h.data) < 1.0)
 
 
+@pytest.mark.usefixtures("float64")
 def test_gru_matches_hand_equations():
     params = _rnn_params(seed=3)
     rng = make_rng(4)
@@ -111,6 +112,7 @@ def _attn_params(hidden=4, fusion=6, seed=0):
     return params
 
 
+@pytest.mark.usefixtures("float64")
 def test_attention_singleton_window():
     params = _attn_params()
     w0 = make_rng(1).normal(size=6)

@@ -106,6 +106,7 @@ def _dense_segment_pool(x, scores, seg):
 
 # groups of uneven size with a singleton (the group pooling) and one segment
 # (the global pooling)
+@pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("sizes", [(1, 5, 2, 7, 1), (12,)])
 def test_segment_pool_matches_dense_per_segment_softmax(sizes):
     rng = make_rng(len(sizes))
@@ -143,6 +144,7 @@ def test_linear_keeps_matmul_shape_checks():
         T.linear(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros(3)))
 
 
+@pytest.mark.usefixtures("float64")
 def test_each_leaf_owns_its_grad_and_clip_scales_it_once():
     # add hands one gradient array to both operands; a leaf that kept it
     # instead of copying would be scaled twice by the in-place clip
@@ -225,7 +227,8 @@ class TestSoftmax:
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=20))
     def test_simplex(self, xs):
-        out = T.softmax(T.Tensor(xs))
+        with T.float64():  # summed to 1 within 1e-12, finer than float32 resolves
+            out = T.softmax(T.Tensor(xs))
         assert np.all(out.data > 0)
         assert abs(out.data.sum() - 1.0) < 1e-12
 
@@ -289,6 +292,7 @@ class TestBatchNorm:
             T.batch_norm(T.Tensor(np.ones((4, 2))), T.Tensor([1.0, 1.0]),
                          T.Tensor([0.0, 0.0]), np.zeros(2), np.ones(2), training=False)
 
+    @pytest.mark.usefixtures("float64")
     @pytest.mark.parametrize("training", [False, True])
     @pytest.mark.parametrize("shape", [(3, 5, 4), (8, 7, 9), (2, 1, 6)])
     def test_matches_the_row_layout(self, shape, training):
@@ -320,6 +324,7 @@ class TestBatchNorm:
         for got, exp in ((rows(xt.grad), dx), (gt.grad, dgamma), (bt.grad, dbeta)):
             np.testing.assert_allclose(got, exp, rtol=0, atol=1e-12)
 
+    @pytest.mark.usefixtures("float64")
     def test_train_mode_ignores_a_per_channel_constant(self):
         # the mean subtraction cancels any per-channel offset, which is why
         # the RGB stages' convs carry no bias
@@ -402,7 +407,48 @@ class TestNoGrad:
         assert np.allclose(x.grad, [2.0, 4.0])
 
 
+class TestFloat64:
+    def test_switches_the_dtype_and_nests(self):
+        assert T.Tensor([1.0]).data.dtype == np.float32
+        with T.float64():
+            with T.float64():
+                pass
+            # leaving the inner block keeps the outer one in force
+            x = T.Tensor([1.0], requires_grad=True)
+            y = T.mul(x, 2.0)
+            assert x.data.dtype == y.data.dtype == np.float64
+            T.tsum(y).backward()
+            assert x.grad.dtype == np.float64
+        assert T.mul(T.Tensor([1.0]), 2.0).data.dtype == np.float32
+
+    def test_restores_the_dtype_after_exception(self):
+        with pytest.raises(NumericError):
+            with T.float64():
+                T.softmax(T.Tensor([np.nan]))
+        assert T.Tensor([1.0]).data.dtype == np.float32
+
+
 class TestGradCheck:
+    def test_runs_in_float64_and_puts_the_float32_arrays_back(self):
+        params = ParamRegistry()
+        rng = make_rng(0)
+        x = params.register("x", rng.normal(size=(3, 4)))
+        w = params.register("w", rng.normal(size=(4, 2)))
+        before = {k: (p.data, p.data.tobytes()) for k, p in params.items()}
+        seen = set()
+
+        def f():
+            seen.update((x.data.dtype, w.data.dtype))
+            return T.tsum(T.tanh(T.matmul(x, w)))
+
+        rep = grad_check(f, params)
+        assert rep.passed and seen == {np.dtype(np.float64)}
+        for k, p in params.items():
+            assert p.data is before[k][0] and p.data.dtype == np.float32
+            assert p.data.tobytes() == before[k][1]
+            assert p.grad is None
+        assert T.Tensor([1.0]).data.dtype == np.float32
+
     def test_quadratic(self):
         params = ParamRegistry()
         x = params.register("x", np.array([3.0]))
@@ -424,6 +470,7 @@ class TestGradCheck:
         counter = itertools.count()
         with pytest.raises(ContractError):
             grad_check(lambda: T.tsum(x) * float(next(counter)), params)
+        assert x.data.dtype == np.float32 and x.grad is None
 
 
 OPS_FOR_CHECK = [

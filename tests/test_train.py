@@ -176,6 +176,7 @@ def _whole_batch_train(model, chunks, tcfg, augment, on_step):
     return float(np.mean(losses))
 
 
+@pytest.mark.usefixtures("float64")
 def test_chunkwise_backprop_equals_whole_batch_graph(monkeypatch):
     cfg = small_pipeline_config()
     frames = small_synth_frames(29)
