@@ -96,10 +96,9 @@ def attention_block(x: Tensor, heads: int, params: ParamRegistry, prefix: str) -
 # -- RGB branch --------------------------------------------------------
 
 
-def init_rgb_params(cfg: RgbBranchConfig, params: ParamRegistry, rng) -> dict[str, np.ndarray]:
-    """Register RGB branch parameters; returns the batch-norm buffer dict."""
+def init_rgb_params(cfg: RgbBranchConfig, params: ParamRegistry, rng) -> None:
+    """Register RGB branch parameters."""
     cfg.validate()
-    buffers: dict[str, np.ndarray] = {}
     c_in = 4  # RGB + aligned sparse depth
     for i, c_out in enumerate(cfg.stage_channels):
         # bias-free: the batch norm's mean subtraction would cancel a conv bias
@@ -109,8 +108,6 @@ def init_rgb_params(cfg: RgbBranchConfig, params: ParamRegistry, rng) -> dict[st
                         kaiming_uniform(rng, (c_out, c_in, 1, 1), fan_in=c_in))
         params.register(f"rgb.stage{i}.bn.gamma", np.ones(c_out))
         params.register(f"rgb.stage{i}.bn.beta", np.zeros(c_out))
-        buffers[f"rgb.stage{i}.bn.mean"] = np.zeros(c_out, dtype=T.DTYPE)
-        buffers[f"rgb.stage{i}.bn.var"] = np.ones(c_out, dtype=T.DTYPE)
         register_linear(params, rng, f"rgb.stage_proj{i}", c_out, cfg.out_dim)
         c_in = c_out
     register_linear(params, rng, "rgb.tokproj", cfg.stage_channels[-1], cfg.attn_dim)
@@ -118,18 +115,15 @@ def init_rgb_params(cfg: RgbBranchConfig, params: ParamRegistry, rng) -> dict[st
     register_linear(params, rng, "rgb.attn_proj", cfg.attn_dim, cfg.out_dim)
     # zero logits: uniform scale mixing at init
     params.register("rgb.scale_logits", np.zeros(len(cfg.stage_channels)))
-    return buffers
 
 
 def rgb_forward(image: Image, sparse_depth: Tensor, cfg: RgbBranchConfig,
-                params: ParamRegistry, buffers: dict[str, np.ndarray],
-                mode: str = "eval", use_attention: bool = True) -> Tensor:
+                params: ParamRegistry, use_attention: bool = True) -> Tensor:
     """Residual conv stages + token self-attention + learned multi-scale mixing;
     returns the [out_dim] feature vector."""
     h, w = image.height, image.width
     if sparse_depth.shape != (1, h, w):
         raise DimensionError(f"sparse depth shape {sparse_depth.shape} != (1, {h}, {w})")
-    training = mode == "train"
     rgb = Tensor(image.pixels.transpose(2, 0, 1).astype(T.DTYPE) / 255.0)
     x = T.concat([rgb, sparse_depth], axis=0)
     stage_summaries = []
@@ -137,9 +131,7 @@ def rgb_forward(image: Image, sparse_depth: Tensor, cfg: RgbBranchConfig,
         pre = f"rgb.stage{i}"
         conv = T.conv2d(x, params.get(pre + ".conv.w"), stride=stride, pad=1)
         short = T.conv2d(x, params.get(pre + ".short.w"), stride=stride, pad=0)
-        normed = T.batch_norm(conv, params.get(pre + ".bn.gamma"), params.get(pre + ".bn.beta"),
-                              buffers[pre + ".bn.mean"], buffers[pre + ".bn.var"],
-                              training=training)
+        normed = T.batch_norm(conv, params.get(pre + ".bn.gamma"), params.get(pre + ".bn.beta"))
         x = T.relu(T.add(normed, short))
         T.assert_finite(x, f"{pre} output")
         c, hh, ww = x.shape

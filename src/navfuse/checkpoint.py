@@ -2,15 +2,15 @@
 
 Layout: 8-byte magic, 4-byte LE header length, JSON header (UTF-8), then a
 single little-endian float64 payload. The header records the format version,
-a config snapshot, and the name/shape/offset of every parameter and buffer
-array in the payload, so a reader needs nothing but this file to reconstruct
-the model; float32 arrays round-trip exactly. No optimizer state is stored.
+a config snapshot, and the parameter path, shape and offset of every array in
+the payload, so a reader needs nothing but this file to reconstruct the model;
+float32 arrays round-trip exactly. No optimizer state is stored.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,25 +19,23 @@ from .errors import CheckpointError, ConfigError, ContractError
 from .pipeline import ModelState, init_pipeline
 
 MAGIC = b"NAVFCKPT"
-FORMAT_VERSION = 2
+# a version 2 file also holds batch-norm running statistics, which no model reads
+FORMAT_VERSION = 3
 
 
 @dataclass
 class Checkpoint:
     config: dict
     params: dict[str, np.ndarray]
-    buffers: dict[str, np.ndarray] = field(default_factory=dict)
     epoch: int = 0
     best_val_loss: float | None = None
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
-    arrays = {**{"param/" + k: v for k, v in ckpt.params.items()},
-              **{"buffer/" + k: v for k, v in ckpt.buffers.items()}}
     entries = []
     offset = 0
     chunks = []
-    for name, arr in arrays.items():
+    for name, arr in ckpt.params.items():
         arr = np.ascontiguousarray(arr, dtype="<f8")
         entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
         offset += arr.size
@@ -94,7 +92,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     if not isinstance(header["arrays"], list):
         raise CheckpointError(f"{path}: header arrays is not a list")
     payload = np.frombuffer(raw, dtype="<f8", offset=pos)
-    stores: dict[str, dict[str, np.ndarray]] = {"param": {}, "buffer": {}}
+    params: dict[str, np.ndarray] = {}
     for entry in header["arrays"]:
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
                 and isinstance(entry.get("shape"), list)
@@ -104,14 +102,12 @@ def load_checkpoint(path: str) -> Checkpoint:
                                   f"a shape of counts and an integer offset")
         name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
         n = int(np.prod(shape)) if shape else 1
-        kind, _, key = name.partition("/")
-        if kind not in stores:
-            raise CheckpointError(f"{path}: array {name!r} has unknown kind {kind!r}")
+        if name in params:
+            raise CheckpointError(f"{path}: array {name!r} is named twice")
         if offset > total - n:
             raise CheckpointError(f"{path}: array {name!r} runs past the payload")
-        stores[kind][key] = payload[offset:offset + n].reshape(shape).copy()
-    return Checkpoint(config=header["config"], params=stores["param"],
-                      buffers=stores["buffer"], epoch=header["epoch"],
+        params[name] = payload[offset:offset + n].reshape(shape).copy()
+    return Checkpoint(config=header["config"], params=params, epoch=header["epoch"],
                       best_val_loss=header["best_val_loss"])
 
 
@@ -130,10 +126,4 @@ def load_model(path: str) -> ModelState:
         model.params.load_state_dict(ckpt.params)
     except ContractError as e:
         raise CheckpointError(f"{path}: checkpoint does not match model: {e}") from None
-    if set(ckpt.buffers) != set(model.buffers):
-        raise CheckpointError(f"{path}: checkpoint buffer names do not match model")
-    for k, v in ckpt.buffers.items():
-        if v.shape != model.buffers[k].shape:
-            raise CheckpointError(f"{path}: buffer shape mismatch for {k!r}")
-        model.buffers[k][...] = v
     return model

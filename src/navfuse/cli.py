@@ -17,6 +17,7 @@ from .checkpoint import Checkpoint, load_model, save_checkpoint
 from .config import RunConfig, config_to_dict, load_config
 from .errors import (CheckpointError, ConfigError, ContractError, DimensionError, FormatError,
                      NavfuseError)
+from .gradcheck import TOL
 from .kitti import (AugmentPolicy, CalibrationSet, load_sequences, save_ppm,
                     serialize_calib, serialize_poses, serialize_velodyne_bin)
 from .metrics import FPS_BASELINE, evaluate_run
@@ -97,6 +98,9 @@ def _load_tagged_dataset(cfg: RunConfig) -> list[tuple[str, list]]:
     out = []
     for sid in sorted(seqs):
         tag = tags.get(f"{sid:02d}", "standard")
+        if not isinstance(tag, str):
+            raise FormatError(f"{manifest_path}: sequence {sid:02d} has tag {tag!r}, "
+                              f"not a scenario name")
         out.append((tag, seqs[sid]))
     return out
 
@@ -186,8 +190,7 @@ def cmd_train(args) -> int:
             print(f"early stop: {result.stop_reason}")
 
     ckpt = Checkpoint(config=config_to_dict(cfg), params=result.best_params,
-                      buffers=result.best_buffers, epoch=result.best_epoch,
-                      best_val_loss=result.best_val_loss)
+                      epoch=result.best_epoch, best_val_loss=result.best_val_loss)
     ckpt_path = out_dir / "checkpoint.bin"
     save_checkpoint(ckpt, str(ckpt_path))
     print(f"train: best val loss {result.best_val_loss:.6f} at epoch "
@@ -248,7 +251,7 @@ def cmd_gradcheck(args) -> int:
     if failed:
         print(f"gradcheck FAILED for: {', '.join(failed)}")
         return EXIT_CHECK_FAILURE
-    print("gradcheck: all operations and the full pipeline pass at tol 1e-4")
+    print(f"gradcheck: all operations and the full pipeline pass at tol {TOL}")
     return EXIT_OK
 
 

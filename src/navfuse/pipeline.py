@@ -60,22 +60,23 @@ class PipelineConfig:
 @dataclass
 class ModelState:
     params: ParamRegistry
-    buffers: dict[str, np.ndarray]
     cfg: PipelineConfig
+    # always empty: perfbench/workloads.py:train_unit copies and restores it
+    buffers: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def init_pipeline(cfg: PipelineConfig, seed: int = 0) -> ModelState:
-    """Build all learnable parameters and batch-norm buffers for one model."""
+    """Build all learnable parameters of one model."""
     cfg.validate()
     rng = make_rng(seed)
     params = ParamRegistry()
-    buffers = init_rgb_params(cfg.rgb, params, rng)
+    init_rgb_params(cfg.rgb, params, rng)
     init_point_params(cfg.point, params, rng)
     F.init_fusion_params(params, rng, cfg.rgb.out_dim, cfg.fusion_dim)
     TM.init_recurrent_params(params, rng, 2 * cfg.fusion_dim, cfg.hidden_dim)
     TM.init_temporal_attention_params(params, rng, cfg.hidden_dim, cfg.fusion_dim)
     TM.init_decision_params(params, rng, cfg.hidden_dim + 2 * cfg.fusion_dim, cfg.hidden_dim)
-    return ModelState(params=params, buffers=buffers, cfg=cfg)
+    return ModelState(params=params, cfg=cfg)
 
 
 @dataclass
@@ -121,8 +122,8 @@ def pipeline_step(frame: Frame, state: TM.TemporalState, model: ModelState,
 
         if use_rgb:
             r_rgb = F.reliability_image(frame.image, cfg.tau_img)
-            rgb_feat = rgb_forward(frame.image, sparse_depth, cfg.rgb, params, model.buffers,
-                                   mode=mode, use_attention=cfg.use_attention)
+            rgb_feat = rgb_forward(frame.image, sparse_depth, cfg.rgb, params,
+                                   use_attention=cfg.use_attention)
         else:
             r_rgb = F.REL_FLOOR
             rgb_feat = Tensor(np.zeros(cfg.rgb.out_dim))

@@ -514,28 +514,19 @@ def conv2d(x, kernels, stride: int = 1, pad: int = 0) -> Tensor:
 # -- batch norm / dropout ---------------------------------------------
 
 BN_EPS = 1e-5
-BN_MOMENTUM = 0.1
 
 
-def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
-               training: bool) -> Tensor:
-    """Normalize each channel of a C x H x W map over its H*W pixels; running
-    stats updated in place in train mode."""
+def batch_norm(x, gamma, beta) -> Tensor:
+    """Normalize each channel of a C x H x W map by the mean and variance of
+    its own H*W pixels, in every mode: a frame is its own batch."""
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
     if x.data.ndim != 3:
         raise DimensionError("batch_norm expects a C x H x W input")
     c, h, w = x.data.shape
+    if h * w < 2:
+        raise DimensionError("batch_norm needs H*W >= 2")
     axes = (1, 2)  # each channel's pixels
-    if training:
-        if h * w < 2:
-            raise DimensionError("batch_norm train mode needs H*W >= 2")
-        mean, var = x.data.mean(axis=axes), x.data.var(axis=axes)  # biased
-        running_mean *= 1.0 - BN_MOMENTUM
-        running_mean += BN_MOMENTUM * mean
-        running_var *= 1.0 - BN_MOMENTUM
-        running_var += BN_MOMENTUM * var
-    else:
-        mean, var = running_mean, running_var
+    mean, var = x.data.mean(axis=axes), x.data.var(axis=axes)  # biased
     # each channel's values as C x 1 x 1, broadcast over its pixels
     mean, inv_std, g3, b3 = (v.reshape(c, 1, 1) for v in (
         mean, 1.0 / np.sqrt(var + BN_EPS), gamma.data, beta.data))
@@ -551,9 +542,9 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
                 beta._accumulate(g.sum(axis=axes))
             if need_x:
                 gx = g * g3
-                if training:  # the paths through the batch mean and variance
-                    gx = (gx - gx.mean(axis=axes, keepdims=True)
-                          - xhat * (gx * xhat).mean(axis=axes, keepdims=True))
+                # the paths through the channel mean and variance
+                gx = (gx - gx.mean(axis=axes, keepdims=True)
+                      - xhat * (gx * xhat).mean(axis=axes, keepdims=True))
                 x._accumulate(gx * inv_std)
         _record(out, (x, gamma, beta), bwd)
     return out

@@ -7,7 +7,6 @@ is one chunk's graph, whatever ``batch_size`` is.
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -39,7 +38,6 @@ class TrainResult:
     best_epoch: int = -1
     best_val_loss: float = float("inf")
     best_params: dict | None = None
-    best_buffers: dict | None = None
     stopped_early: bool = False
     stop_reason: str = ""
 
@@ -118,7 +116,6 @@ def train(model: ModelState, train_seqs: list[list[LabeledFrame]],
 
     def snapshot():
         result.best_params = model.params.state_dict()
-        result.best_buffers = copy.deepcopy(model.buffers)
 
     if max_epochs == 0:
         # degenerate run: the "trained" model is the initialization

@@ -51,7 +51,7 @@ OP_CLOSURES = [
     ("conv2d_stride2", lambda p: T.tsum(T.tanh(T.conv2d(p["img"], p["ker"], stride=2, pad=1)))),
     # a2 transposed and viewed as 4 channels of (3+seed) x 1 pixels
     ("batch_norm", lambda p: T.tsum(T.tanh(T.batch_norm(T.reshape(p["a2"].T, (4, -1, 1)),
-        p["gamma"], p["beta"], np.zeros(4), np.ones(4), training=True)))),
+                                                        p["gamma"], p["beta"])))),
     ("dropout", lambda p: T.tsum(T.mul(
         T.dropout(p["vec"], 0.5, make_rng(11)), p["vec"]))),
 ]
@@ -105,9 +105,9 @@ def small_synth_frames(n_frames: int = 5, width: int = 16, height: int = 16):
 def run_pipeline_check(seed: int = 0) -> GradCheckReport:
     """Gradient check of the pipeline loss fully unrolled over PIPELINE_FRAMES.
 
-    Eval mode keeps the closure deterministic (no dropout, fixed BN stats),
-    and every evaluation gets a fresh make_rng(0), as validation does; a
-    seeded subset of entries per parameter keeps the runtime bounded.
+    Eval mode keeps the closure deterministic (no dropout), and every
+    evaluation gets a fresh make_rng(0), as validation does; a seeded subset
+    of entries per parameter keeps the runtime bounded.
     """
     model = init_pipeline(small_pipeline_config(), seed=seed)
     frames = small_synth_frames(PIPELINE_FRAMES + 1)[:PIPELINE_FRAMES]

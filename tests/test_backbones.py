@@ -92,29 +92,29 @@ def test_attention_head_divisibility():
 def test_rgb_zero_input_zero_output():
     cfg = _small_rgb_cfg()
     params = ParamRegistry()
-    buffers = init_rgb_params(cfg, params, make_rng(0))
+    init_rgb_params(cfg, params, make_rng(0))
     img = Image(pixels=np.zeros((16, 16, 3), dtype=np.uint8))
     depth = Tensor(np.zeros((1, 16, 16)))
-    out = rgb_forward(img, depth, cfg, params, buffers)
+    out = rgb_forward(img, depth, cfg, params)
     np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
 
 def test_rgb_output_shape_default_cfg():
     cfg = RgbBranchConfig()
     params = ParamRegistry()
-    buffers = init_rgb_params(cfg, params, make_rng(0))
+    init_rgb_params(cfg, params, make_rng(0))
     img = Image(pixels=make_rng(1).integers(0, 256, (64, 64, 3), dtype=np.uint8))
-    out = rgb_forward(img, Tensor(np.zeros((1, 64, 64))), cfg, params, buffers)
+    out = rgb_forward(img, Tensor(np.zeros((1, 64, 64))), cfg, params)
     assert out.shape == (64,)
 
 
 def test_rgb_dimension_mismatch():
     cfg = _small_rgb_cfg()
     params = ParamRegistry()
-    buffers = init_rgb_params(cfg, params, make_rng(0))
+    init_rgb_params(cfg, params, make_rng(0))
     img = Image(pixels=np.zeros((18, 16, 3), dtype=np.uint8))
     with pytest.raises(DimensionError):
-        rgb_forward(img, Tensor(np.zeros((1, 16, 16))), cfg, params, buffers)
+        rgb_forward(img, Tensor(np.zeros((1, 16, 16))), cfg, params)
 
 
 @pytest.mark.parametrize("h, w", [(18, 16), (47, 155)])
@@ -123,22 +123,21 @@ def test_rgb_any_frame_size(h, w):
     # 47 x 155 is the KITTI frame at 1/8 scale
     cfg = RgbBranchConfig()
     params = ParamRegistry()
-    buffers = init_rgb_params(cfg, params, make_rng(0))
+    init_rgb_params(cfg, params, make_rng(0))
     img = Image(pixels=make_rng(1).integers(0, 256, (h, w, 3), dtype=np.uint8))
-    for mode in ("train", "eval"):
-        out = rgb_forward(img, Tensor(np.zeros((1, h, w))), cfg, params, buffers, mode=mode)
-        assert out.shape == (64,) and np.all(np.isfinite(out.data))
+    out = rgb_forward(img, Tensor(np.zeros((1, h, w))), cfg, params)
+    assert out.shape == (64,) and np.all(np.isfinite(out.data))
 
 
 def test_rgb_grad_check_16x16():
     cfg = _small_rgb_cfg()
     params = ParamRegistry()
-    buffers = init_rgb_params(cfg, params, make_rng(0))
+    init_rgb_params(cfg, params, make_rng(0))
     img = Image(pixels=make_rng(1).integers(0, 256, (16, 16, 3), dtype=np.uint8))
     depth = Tensor(make_rng(2).uniform(0, 1, size=(1, 16, 16)))
 
     def f():
-        out = rgb_forward(img, depth, cfg, params, buffers, mode="eval")
+        out = rgb_forward(img, depth, cfg, params)
         return T.tsum(T.tanh(out))
 
     rep = grad_check(f, params, entries_per_param=3, rng=make_rng(3))

@@ -19,9 +19,7 @@ def _fixture_ckpt(seed=0):
     rng = make_rng(seed)
     params = {"a.w": rng.normal(size=(3, 4)), "a.b": rng.normal(size=4),
               "scalar": np.array(2.5)}
-    buffers = {"bn.mean": rng.normal(size=4)}
-    return Checkpoint(config={"seed": seed}, params=params, buffers=buffers,
-                      epoch=3, best_val_loss=0.125)
+    return Checkpoint(config={"seed": seed}, params=params, epoch=3, best_val_loss=0.125)
 
 
 def test_round_trip_bitwise(tmp_path):
@@ -33,8 +31,6 @@ def test_round_trip_bitwise(tmp_path):
     assert back.epoch == 3 and back.best_val_loss == 0.125
     for k, v in ckpt.params.items():
         np.testing.assert_array_equal(back.params[k], v)
-    for k, v in ckpt.buffers.items():
-        np.testing.assert_array_equal(back.buffers[k], v)
 
 
 def test_save_is_deterministic(tmp_path):
@@ -45,14 +41,13 @@ def test_save_is_deterministic(tmp_path):
 
 
 def test_no_adam_state(tmp_path):
-    # the payload holds the parameters and buffers and nothing else
+    # the payload holds the parameters, named by their paths, and nothing else
     path = tmp_path / "ck.bin"
     save_checkpoint(_fixture_ckpt(), str(path))
     header = _read_header(path.read_bytes())
     assert "adam" not in header
-    assert sorted(e["name"] for e in header["arrays"]) == [
-        "buffer/bn.mean", "param/a.b", "param/a.w", "param/scalar"]
-    assert header["total_floats"] == 4 + 4 + 12 + 1
+    assert sorted(e["name"] for e in header["arrays"]) == ["a.b", "a.w", "scalar"]
+    assert header["total_floats"] == 4 + 12 + 1
 
 
 def test_bad_magic(tmp_path):
@@ -94,8 +89,8 @@ def _drop_total_floats(header):
     del header["total_floats"]
 
 
-def _unknown_kind(header):
-    header["arrays"][0]["name"] = "bogus/" + header["arrays"][0]["name"]
+def _duplicate_name(header):
+    header["arrays"].append(dict(header["arrays"][0]))
 
 
 def _past_payload(header):
@@ -109,6 +104,13 @@ def _not_an_object(header):
 def _version_1(header):
     # a checkpoint of the format that carried Adam state
     header["version"] = 1
+
+
+def _version_2(header):
+    # a checkpoint of the format that also held batch-norm running statistics
+    header["version"] = 2
+    for entry in header["arrays"]:
+        entry["name"] = "param/" + entry["name"]
 
 
 def _drop(key):
@@ -127,10 +129,11 @@ def _float_offset(header):
 
 
 @pytest.mark.parametrize("edit, match", [(_drop_total_floats, "promises None"),
-                                         (_unknown_kind, "unknown kind"),
+                                         (_duplicate_name, "named twice"),
                                          (_past_payload, "past the payload"),
                                          (_not_an_object, "not a JSON object"),
                                          (_version_1, "version 1"),
+                                         (_version_2, "version 2"),
                                          (_drop("arrays"), "lacks arrays"),
                                          (_drop("config"), "lacks config"),
                                          (_drop("epoch"), "lacks epoch"),
@@ -156,8 +159,7 @@ def test_malformed_header_is_checkpoint_error(tmp_path, edit, match):
 def _model_ckpt(model, params=None, config=None):
     snapshot = config_to_dict(RunConfig(pipeline=model.cfg)) if config is None else config
     return Checkpoint(config=snapshot,
-                      params=model.params.state_dict() if params is None else params,
-                      buffers={k: v.copy() for k, v in model.buffers.items()})
+                      params=model.params.state_dict() if params is None else params)
 
 
 def test_restore_into_model(tmp_path):
@@ -171,8 +173,6 @@ def test_restore_into_model(tmp_path):
     assert other.cfg == model.cfg
     for k, v in model.params.items():
         np.testing.assert_array_equal(other.params.get(k).data, v.data)
-    for k, v in model.buffers.items():
-        np.testing.assert_array_equal(other.buffers[k], v)
 
 
 def test_restore_shape_mismatch(tmp_path):
@@ -217,16 +217,3 @@ def test_invalid_snapshot_is_checkpoint_error(tmp_path, config):
     with pytest.raises(CheckpointError, match="config snapshot"):
         load_model(path)
 
-
-def test_buffer_mismatch_is_checkpoint_error(tmp_path):
-    model = init_pipeline(small_pipeline_config(), seed=0)
-    ckpt = _model_ckpt(model)
-    name = next(iter(ckpt.buffers))
-    ckpt.buffers[name] = np.zeros(ckpt.buffers[name].shape + (2,))
-    save_checkpoint(ckpt, str(tmp_path / "shape.bin"))
-    with pytest.raises(CheckpointError, match="buffer shape mismatch"):
-        load_model(str(tmp_path / "shape.bin"))
-    ckpt.buffers["extra"] = np.zeros(1)
-    save_checkpoint(ckpt, str(tmp_path / "names.bin"))
-    with pytest.raises(CheckpointError, match="buffer names"):
-        load_model(str(tmp_path / "names.bin"))

@@ -172,7 +172,8 @@ def test_bench_nonpositive_frames_is_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize("manifest", ["[standard, dynamic]\n", "sequences: [standard]\n",
-                                      "sequences: {00: standard\n"])
+                                      "sequences: {00: standard\n",
+                                      "sequences: {01: [low_light, x]}\n"])
 def test_malformed_manifest_is_io_error(tmp_path, manifest):
     cfg, data = _write_cfg(tmp_path)
     assert main(["synth", "--config", str(cfg)]) == 0
@@ -481,3 +482,16 @@ def test_dimension_error_is_usage_error(tmp_path):
     assert main(["synth", "--config", str(cfg)]) == 0
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run"),
                  "--epochs", "1"]) == 2
+
+
+@pytest.mark.parametrize("command", ["eval", "bench"])
+def test_a_1x1_rgb_stage_is_usage_error(tmp_path, command):
+    # the default three stride-2 stages shrink an 8x8 frame to 1x1, where a
+    # channel has a single pixel to normalize by, in eval as in training
+    data = tmp_path / "data"
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"out_dir: {data}\ndata: {{root: {data}}}\n"
+                   "synth: {frames: 3, scenarios: [standard], width: 8, height: 8}\n")
+    assert main(["synth", "--config", str(cfg)]) == 0
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "run"),
+                 *(["--frames", "2"] if command == "bench" else [])]) == 2

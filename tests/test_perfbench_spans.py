@@ -5,8 +5,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import navfuse.pipeline
 import navfuse.tensor
 import navfuse.train
+from navfuse.verify import small_pipeline_config
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -37,3 +39,11 @@ def test_train_keeps_the_names_the_benchmark_patches():
     # exclude validation
     assert callable(navfuse.train.adam_step)
     assert callable(navfuse.train.validation_loss)
+
+
+def test_model_keeps_the_buffers_the_benchmark_restores():
+    # the benchmark's train unit copies model.buffers before training and
+    # writes it back after; the pipeline keeps no state outside its
+    # parameters, so it is empty
+    model = navfuse.pipeline.init_pipeline(small_pipeline_config())
+    assert model.buffers == {}

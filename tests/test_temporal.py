@@ -294,6 +294,25 @@ def test_pipeline_step_records_tape_only_with_label():
     np.testing.assert_array_equal(unlabeled.nav.waypoint, labeled.nav.waypoint)
 
 
+def test_eval_step_is_unchanged_by_train_steps():
+    # a frame is normalized by its own statistics in every mode, so train
+    # steps that backpropagate but update no parameter leave eval as it was
+    cfg = small_pipeline_config()
+    model = init_pipeline(cfg, seed=0)
+    frames = small_synth_frames(5)
+
+    def eval_output():
+        res = pipeline_step(frames[-1].frame, initial_state(cfg), model, rng=make_rng(0))
+        return np.concatenate([res.nav.waypoint, res.fused.vector.data,
+                               res.state.hidden.data])
+
+    before = eval_output()
+    for lf in frames[:3]:
+        pipeline_step(lf.frame, initial_state(cfg), model, mode="train", rng=make_rng(1),
+                      label=lf).loss.backward()
+    assert eval_output().tobytes() == before.tobytes()
+
+
 def test_rollout_carries_no_graph():
     cfg = small_pipeline_config()
     model = init_pipeline(cfg, seed=0)

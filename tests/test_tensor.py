@@ -1,3 +1,4 @@
+import contextlib
 import inspect
 
 import numpy as np
@@ -233,27 +234,16 @@ class TestSoftmax:
         assert abs(out.data.sum() - 1.0) < 1e-12
 
 
-def _batch_norm_rows(x, gamma, beta, running_mean, running_var, training, g):
+def _batch_norm_rows(x, gamma, beta, g):
     """Reference batch norm of an N x C matrix over its rows, the layout a
     C x H x W map reaches by reshape and transpose: the output and the x,
-    gamma and beta gradients for the upstream gradient g. Running stats
-    update in place."""
+    gamma and beta gradients for the upstream gradient g."""
     n = x.shape[0]
-    if training:
-        mean, var = x.mean(axis=0), x.var(axis=0)
-        running_mean *= 1.0 - T.BN_MOMENTUM
-        running_mean += T.BN_MOMENTUM * mean
-        running_var *= 1.0 - T.BN_MOMENTUM
-        running_var += T.BN_MOMENTUM * var
-    else:
-        mean, var = running_mean, running_var
+    mean, var = x.mean(axis=0), x.var(axis=0)
     inv_std = 1.0 / np.sqrt(var + T.BN_EPS)
     xhat = (x - mean) * inv_std
     gx = g * gamma
-    if training:
-        dx = inv_std / n * (n * gx - gx.sum(axis=0) - xhat * (gx * xhat).sum(axis=0))
-    else:
-        dx = gx * inv_std
+    dx = inv_std / n * (n * gx - gx.sum(axis=0) - xhat * (gx * xhat).sum(axis=0))
     return xhat * gamma + beta, dx, (g * xhat).sum(axis=0), g.sum(axis=0)
 
 
@@ -264,65 +254,55 @@ class TestBatchNorm:
         x = (x - x.mean(axis=(1, 2), keepdims=True)) / x.std(axis=(1, 2), keepdims=True)
         g = T.Tensor(np.ones(3))
         b = T.Tensor(np.zeros(3))
-        rm, rv = np.zeros(3), np.ones(3)
-        out = T.batch_norm(T.Tensor(x), g, b, rm, rv, training=True)
+        out = T.batch_norm(T.Tensor(x), g, b)
         assert np.allclose(out.data, x, atol=1e-4)
 
     def test_constant_channel(self):
         x = T.Tensor(np.full((1, 2, 2), 7.0))
-        out = T.batch_norm(x, T.Tensor([1.0]), T.Tensor([2.5]), np.zeros(1), np.ones(1),
-                           training=True)
+        out = T.batch_norm(x, T.Tensor([1.0]), T.Tensor([2.5]))
         assert np.allclose(out.data, 2.5)
 
     def test_hand_value(self):
         x = T.Tensor([[[1.0], [3.0]]])
-        out = T.batch_norm(x, T.Tensor([1.0]), T.Tensor([0.0]), np.zeros(1), np.ones(1),
-                           training=True)
+        out = T.batch_norm(x, T.Tensor([1.0]), T.Tensor([0.0]))
         expect = (np.array([[[1.0], [3.0]]]) - 2.0) / np.sqrt(1.0 + 1e-5)
         assert np.allclose(out.data, expect)
 
     def test_single_row_train_rejected(self):
-        # a C x 1 x 1 map has one pixel per channel: no batch statistics
+        # a C x 1 x 1 map has one pixel per channel: no statistics to
+        # normalize by, in any mode
         with pytest.raises(DimensionError, match=r"H\*W >= 2"):
             T.batch_norm(T.Tensor(np.ones((2, 1, 1))), T.Tensor([1.0, 1.0]),
-                         T.Tensor([0.0, 0.0]), np.zeros(2), np.ones(2), training=True)
+                         T.Tensor([0.0, 0.0]))
 
     def test_rejects_a_matrix(self):
         with pytest.raises(DimensionError, match="C x H x W"):
-            T.batch_norm(T.Tensor(np.ones((4, 2))), T.Tensor([1.0, 1.0]),
-                         T.Tensor([0.0, 0.0]), np.zeros(2), np.ones(2), training=False)
+            T.batch_norm(T.Tensor(np.ones((4, 2))), T.Tensor([1.0, 1.0]), T.Tensor([0.0, 0.0]))
 
     @pytest.mark.usefixtures("float64")
     @pytest.mark.parametrize("training", [False, True])
     @pytest.mark.parametrize("shape", [(3, 5, 4), (8, 7, 9), (2, 1, 6)])
     def test_matches_the_row_layout(self, shape, training):
-        # each channel's pixels are the rows of the N x C layout; eval mode is
-        # elementwise, so bitwise equal, and train mode sums in another order
+        # each channel's pixels are the rows of the N x C layout; the sums run
+        # in another order, so the match is close, not bitwise. Eval runs the
+        # same normalization off the tape.
         c = shape[0]
         rng = make_rng(sum(shape))
         x = 3.0 * rng.normal(size=shape) + 1.0
         gamma, beta, g = rng.normal(size=c), rng.normal(size=c), rng.normal(size=shape)
-        rm, rv = rng.normal(size=c), rng.uniform(0.5, 2.0, size=c)
-        rm_rows, rv_rows = rm.copy(), rv.copy()
 
         def rows(a):
             return a.reshape(c, -1).T
 
-        want, dx, dgamma, dbeta = _batch_norm_rows(rows(x), gamma, beta, rm_rows, rv_rows,
-                                                   training, rows(g))
+        want, dx, dgamma, dbeta = _batch_norm_rows(rows(x), gamma, beta, rows(g))
         xt, gt, bt = (T.Tensor(v, requires_grad=True) for v in (x, gamma, beta))
-        out = T.batch_norm(xt, gt, bt, rm, rv, training=training)
-        T.tsum(T.mul(out, g)).backward()
+        with contextlib.nullcontext() if training else T.no_grad():
+            out = T.batch_norm(xt, gt, bt)
+        np.testing.assert_allclose(rows(out.data), want, rtol=0, atol=1e-13)
         if training:
-            for got, exp in ((rows(out.data), want), (rm, rm_rows), (rv, rv_rows)):
-                np.testing.assert_allclose(got, exp, rtol=0, atol=1e-13)
-        else:
-            np.testing.assert_array_equal(rows(out.data), want)
-            np.testing.assert_array_equal(rows(xt.grad), dx)
-            np.testing.assert_array_equal(rm, rm_rows)
-            np.testing.assert_array_equal(rv, rv_rows)
-        for got, exp in ((rows(xt.grad), dx), (gt.grad, dgamma), (bt.grad, dbeta)):
-            np.testing.assert_allclose(got, exp, rtol=0, atol=1e-12)
+            T.tsum(T.mul(out, g)).backward()
+            for got, exp in ((rows(xt.grad), dx), (gt.grad, dgamma), (bt.grad, dbeta)):
+                np.testing.assert_allclose(got, exp, rtol=0, atol=1e-12)
 
     @pytest.mark.usefixtures("float64")
     def test_train_mode_ignores_a_per_channel_constant(self):
@@ -332,9 +312,8 @@ class TestBatchNorm:
         x = rng.normal(size=(4, 6, 5))
         shift = 10.0 * rng.normal(size=(4, 1, 1))
         gamma, beta = T.Tensor(rng.normal(size=4)), T.Tensor(rng.normal(size=4))
-        plain = T.batch_norm(T.Tensor(x), gamma, beta, np.zeros(4), np.ones(4), training=True)
-        shifted = T.batch_norm(T.Tensor(x + shift), gamma, beta, np.zeros(4), np.ones(4),
-                               training=True)
+        plain = T.batch_norm(T.Tensor(x), gamma, beta)
+        shifted = T.batch_norm(T.Tensor(x + shift), gamma, beta)
         np.testing.assert_allclose(shifted.data, plain.data, rtol=0, atol=1e-12)
 
 
@@ -522,8 +501,7 @@ def test_batch_norm_grad_check(seed):
     b = params.register("b", rng.normal(size=3))
 
     def f():
-        rm, rv = np.zeros(3), np.ones(3)  # fresh stats: keeps f deterministic
-        return T.tsum(T.tanh(T.batch_norm(x, g, b, rm, rv, training=True)))
+        return T.tsum(T.tanh(T.batch_norm(x, g, b)))
 
     rep = grad_check(f, params)
     assert rep.passed, rep.max_rel_err

@@ -115,8 +115,6 @@ def test_train_best_snapshot_restores_best_val():
     frames = small_synth_frames(7)
     result = train(model, [frames], [frames], _tcfg(total_epochs=3), max_epochs=3)
     model.params.load_state_dict(result.best_params)
-    for k, v in result.best_buffers.items():
-        model.buffers[k][...] = v
     from navfuse.train import make_chunks as mk
     val = validation_loss(model, mk([frames], cfg.window))
     assert val == result.best_val_loss
