@@ -18,7 +18,7 @@ from .config import RunConfig, config_to_dict, load_config
 from .errors import (CheckpointError, ConfigError, ContractError, DimensionError, FormatError,
                      NavfuseError)
 from .gradcheck import TOL
-from .kitti import (AugmentPolicy, CalibrationSet, load_sequences, save_ppm,
+from .kitti import (AugmentPolicy, CalibrationSet, load_sequences, read_text, save_ppm,
                     serialize_calib, serialize_poses, serialize_velodyne_bin)
 from .metrics import FPS_BASELINE, evaluate_run
 from .params import make_rng
@@ -39,9 +39,12 @@ def _load_run_config(args) -> RunConfig:
     text = ""
     if args.config:
         try:
-            text = Path(args.config).read_text()
+            text = Path(args.config).read_text(encoding="utf-8")
         except OSError as e:
             raise OSError(f"cannot read config {args.config}: {e}") from None
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"config {args.config} is not UTF-8 text "
+                              f"({e.reason} at byte {e.start})") from None
     cfg = load_config(text)
     if args.seed is not None:
         cfg.seed = args.seed
@@ -88,7 +91,7 @@ def _load_tagged_dataset(cfg: RunConfig) -> list[tuple[str, list]]:
     tags = {}
     if manifest_path.exists():
         try:
-            manifest = yaml.load(manifest_path.read_text(), Loader=yaml.BaseLoader)
+            manifest = yaml.load(read_text(manifest_path), Loader=yaml.BaseLoader)
         except yaml.YAMLError as e:
             raise FormatError(f"{manifest_path}: not valid YAML: {e}") from None
         tags = manifest.get("sequences", {}) if isinstance(manifest, dict) else None

@@ -291,6 +291,14 @@ def derive_labels(poses: list[Pose], lookahead_m: float = 5.0,
 # -- sequence loading --------------------------------------------------
 
 
+def read_text(path: Path) -> str:
+    """A dataset text file's contents; bytes that are not UTF-8 are a FormatError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+
+
 def _load_sequence_frames(seq_dir: Path, pose_file: Path) -> list[Frame]:
     calib_file = seq_dir / "calib.txt"
     velo_dir = seq_dir / "velodyne"
@@ -298,8 +306,8 @@ def _load_sequence_frames(seq_dir: Path, pose_file: Path) -> list[Frame]:
     for path in (calib_file, velo_dir, image_dir, pose_file):
         if not path.exists():
             raise OSError(f"missing dataset path: {path}")
-    calib = parse_calib(calib_file.read_text())
-    poses = parse_poses(pose_file.read_text())
+    calib = parse_calib(read_text(calib_file))
+    poses = parse_poses(read_text(pose_file))
     bins = sorted(velo_dir.glob("*.bin"))
     frames = []
     for i, bin_path in enumerate(bins):
@@ -328,16 +336,17 @@ def load_sequences(root: str | os.PathLike, lookahead_m: float = 5.0,
     seq_root = root / "sequences"
     if not seq_root.is_dir():
         raise OSError(f"missing dataset path: {seq_root}")
-    sequence_ids = sorted(int(p.name) for p in seq_root.iterdir()
-                          if p.is_dir() and p.name.isdigit())
+    names = sorted(p.name for p in seq_root.iterdir() if p.is_dir() and p.name.isdigit())
+    for name in names:
+        if len(name) != 2 or not name.isascii():
+            raise FormatError(f"{seq_root / name}: a sequence directory is named by two "
+                              f"digits, as 00")
     out: dict[int, list[LabeledFrame]] = {}
-    for sid in sequence_ids:
-        seq_dir = seq_root / f"{sid:02d}"
-        pose_file = root / "poses" / f"{sid:02d}.txt"
-        frames = _load_sequence_frames(seq_dir, pose_file)
+    for name in names:
+        frames = _load_sequence_frames(seq_root / name, root / "poses" / f"{name}.txt")
         labels = derive_labels([f.pose for f in frames], lookahead_m, max_step)
-        out[sid] = [LabeledFrame(frame=f, waypoint=w, ego_delta=d)
-                    for f, (w, d) in zip(frames, labels)]
+        out[int(name)] = [LabeledFrame(frame=f, waypoint=w, ego_delta=d)
+                          for f, (w, d) in zip(frames, labels)]
     return out
 
 

@@ -1,7 +1,12 @@
 """Dense float32 tensors with reverse-mode gradients.
 
-The tape is define-by-run: every op that touches a gradient-requiring
-tensor records a backward closure on its output node. ``backward`` on a
+The tape is define-by-run. Every op hands ``_record`` its output, its
+operands and one gradient function per operand, mapping the output's
+gradient to that operand's. ``_record`` alone decides which operands get a
+gradient: it keeps the (operand, function) pairs whose operand is on the
+tape (it requires grad, or is itself an op's output on the tape), so no
+gradient is computed for constants (group features, the image input,
+labels), and an op with no such operand records nothing. ``backward`` on a
 scalar walks the graph once in reverse topological order, accumulates into
 ``grad`` slots, then frees the tape. Leaf grads stay, so training calls
 ``backward`` on each chunk's loss as soon as it is built and the gradients
@@ -12,11 +17,9 @@ the node's own strides, so a gradient passed straight through (an add, a
 contiguous reshape) costs no copy. Any other first gradient, and every
 leaf's, is copied into a fresh array laid out like the node's data; a leaf
 adds later gradients in place, an inner node into a new array, since its
-slot may be shared. Each closure also notes at record time which operands
-are on the tape, and computes no gradient for constants (group features,
-the image input, labels).
+slot may be shared.
 
-Inside ``no_grad()`` no op records: outputs carry no closure, mask or
+Inside ``no_grad()`` no op records: outputs carry no gradient functions or
 parents, and forward values are unchanged. A pipeline step without a label
 has no loss and runs under it; so does validation, which never backprops.
 
@@ -41,7 +44,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
-        self._backward_fn = None
+        self._backward_fn = None  # (operand, gradient function) pairs while on the tape
 
     # -- introspection -------------------------------------------------
 
@@ -92,7 +95,8 @@ class Tensor:
         self._accumulate(np.ones((), dtype=DTYPE))
         for node in reversed(topo):
             if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+                for t, grad in node._backward_fn:
+                    t._accumulate(grad(node.grad))
             # free the tape; leaf grads stay
             node._backward_fn = None
             node._parents = ()
@@ -148,17 +152,18 @@ def float64():
         DTYPE = previous
 
 
-def _on_tape(*ts: Tensor) -> tuple[bool, ...] | None:
-    """Per operand, whether it is on the tape; None when the op records nothing."""
-    if not _recording:
-        return None
-    need = tuple(t.requires_grad or t._backward_fn is not None for t in ts)
-    return need if any(need) else None
-
-
-def _record(out: Tensor, parents: tuple, bwd) -> None:
-    out._parents = parents
-    out._backward_fn = bwd
+def _record(out: Tensor, parents: tuple, *grads) -> None:
+    """Put out on the tape: grads[i] maps out's gradient to parents[i]'s.
+    Only the pairs whose operand is on the tape are kept; with none, out
+    records nothing."""
+    # a loop, not a comprehension, which on Python 3.11 costs a frame per op
+    pairs = []
+    for t, grad in zip(parents, grads):
+        if t.requires_grad or t._backward_fn is not None:
+            pairs.append((t, grad))
+    if pairs:
+        out._parents = parents
+        out._backward_fn = pairs
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -180,51 +185,34 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     out = Tensor(a.data + b.data)
-    need = _on_tape(a, b)
-    if need:
-        need_a, need_b = need
-        def bwd(g):
-            if need_a:
-                a._accumulate(_unbroadcast(g, a.data.shape))
-            if need_b:
-                b._accumulate(_unbroadcast(g, b.data.shape))
-        _record(out, (a, b), bwd)
+    if _recording:
+        _record(out, (a, b), lambda g: _unbroadcast(g, a.data.shape),
+                lambda g: _unbroadcast(g, b.data.shape))
     return out
 
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     out = Tensor(a.data * b.data)
-    need = _on_tape(a, b)
-    if need:
-        need_a, need_b = need
-        def bwd(g):
-            if need_a:
-                a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-            if need_b:
-                b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-        _record(out, (a, b), bwd)
+    if _recording:
+        _record(out, (a, b), lambda g: _unbroadcast(g * b.data, a.data.shape),
+                lambda g: _unbroadcast(g * a.data, b.data.shape))
     return out
 
 
 def powc(a, p: float) -> Tensor:
     a = _wrap(a)
     out = Tensor(a.data ** p)
-    if _on_tape(a):
-        def bwd(g):
-            a._accumulate(g * p * a.data ** (p - 1.0))
-        _record(out, (a,), bwd)
+    if _recording:
+        _record(out, (a,), lambda g: g * p * a.data ** (p - 1.0))
     return out
 
 
 def relu(a) -> Tensor:
     a = _wrap(a)
     out = Tensor(np.maximum(a.data, 0.0))
-    if _on_tape(a):
-        mask = a.data > 0.0
-        def bwd(g):
-            a._accumulate(g * mask)
-        _record(out, (a,), bwd)
+    if _recording:
+        _record(out, (a,), lambda g: g * (a.data > 0.0))
     return out
 
 
@@ -232,10 +220,8 @@ def tanh(a) -> Tensor:
     a = _wrap(a)
     y = np.tanh(a.data)
     out = Tensor(y)
-    if _on_tape(a):
-        def bwd(g):
-            a._accumulate(g * (1.0 - y * y))
-        _record(out, (a,), bwd)
+    if _recording:
+        _record(out, (a,), lambda g: g * (1.0 - y * y))
     return out
 
 
@@ -243,10 +229,8 @@ def sigmoid(a) -> Tensor:
     a = _wrap(a)
     y = 1.0 / (1.0 + np.exp(-a.data))
     out = Tensor(y)
-    if _on_tape(a):
-        def bwd(g):
-            a._accumulate(g * y * (1.0 - y))
-        _record(out, (a,), bwd)
+    if _recording:
+        _record(out, (a,), lambda g: g * y * (1.0 - y))
     return out
 
 
@@ -254,93 +238,77 @@ def exp(a) -> Tensor:
     a = _wrap(a)
     y = np.exp(a.data)
     out = Tensor(y)
-    if _on_tape(a):
-        def bwd(g):
-            a._accumulate(g * y)
-        _record(out, (a,), bwd)
+    if _recording:
+        _record(out, (a,), lambda g: g * y)
     return out
 
 
 def log(a) -> Tensor:
     a = _wrap(a)
     out = Tensor(np.log(a.data))
-    if _on_tape(a):
-        def bwd(g):
-            a._accumulate(g / a.data)
-        _record(out, (a,), bwd)
+    if _recording:
+        _record(out, (a,), lambda g: g / a.data)
     return out
 
 
 # -- reductions / shaping ---------------------------------------------
 
 
-def tsum(a, axis=None, keepdims=False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
     a = _wrap(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
-    if _on_tape(a):
-        def bwd(g):
-            if axis is None:
-                a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                a._accumulate(np.broadcast_to(gg, a.data.shape).copy())
-        _record(out, (a,), bwd)
+    out = Tensor(a.data.sum(axis=axis))
+    if _recording:
+        _record(out, (a,), lambda g: np.broadcast_to(
+            g if axis is None else np.expand_dims(g, axis), a.data.shape).copy())
     return out
 
 
-def tmean(a, axis=None, keepdims=False) -> Tensor:
+def tmean(a, axis=None) -> Tensor:
     a = _wrap(a)
     if axis is None:
         n = a.data.size
     else:
         n = a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return mul(tsum(a, axis=axis), 1.0 / n)
 
 
 def reshape(a, shape) -> Tensor:
     a = _wrap(a)
     out = Tensor(a.data.reshape(shape))
-    if _on_tape(a):
-        def bwd(g):
-            a._accumulate(g.reshape(a.data.shape))
-        _record(out, (a,), bwd)
+    if _recording:
+        _record(out, (a,), lambda g: g.reshape(a.data.shape))
     return out
 
 
 def transpose(a) -> Tensor:
     a = _wrap(a)
     out = Tensor(a.data.T.copy())
-    if _on_tape(a):
-        def bwd(g):
-            a._accumulate(g.T)
-        _record(out, (a,), bwd)
+    if _recording:
+        _record(out, (a,), lambda g: g.T)
     return out
 
 
 def take(a, idx) -> Tensor:
     a = _wrap(a)
     out = Tensor(a.data[idx].copy())
-    if _on_tape(a):
-        def bwd(g):
+    if _recording:
+        def grad(g):
             full = np.zeros_like(a.data)
             np.add.at(full, idx, g)
-            a._accumulate(full)
-        _record(out, (a,), bwd)
+            return full
+        _record(out, (a,), grad)
     return out
 
 
 def concat(tensors, axis=0) -> Tensor:
     tensors = [_wrap(t) for t in tensors]
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    need = _on_tape(*tensors)
-    if need:
-        sizes = [t.data.shape[axis] for t in tensors]
-        splits = np.cumsum(sizes)[:-1]
-        def bwd(g):
-            for t, piece, need_t in zip(tensors, np.split(g, splits, axis=axis), need):
-                if need_t:
-                    t._accumulate(piece)
-        _record(out, tuple(tensors), bwd)
+    if _recording:
+        # each operand's gradient is its slice of g along axis, a view
+        lead = (slice(None),) * (axis % out.data.ndim)
+        ends = np.cumsum([t.data.shape[axis] for t in tensors])
+        slices = [lead + (slice(end - t.data.shape[axis], end),) for t, end in zip(tensors, ends)]
+        _record(out, tuple(tensors), *(lambda g, s=s: g[s] for s in slices))
     return out
 
 
@@ -355,24 +323,15 @@ def _check_matmul(a: Tensor, b: Tensor) -> None:
         raise DimensionError(f"matmul inner dims differ: {a.data.shape} vs {b.data.shape}")
 
 
-def _matmul_grads(a: Tensor, b: Tensor, g: np.ndarray, need_a: bool, need_b: bool) -> None:
-    if need_a:
-        a._accumulate(g @ b.data.T)
-    if need_b:
-        b._accumulate(np.atleast_2d(a.data).T @ np.atleast_2d(g))
-
-
 def matmul(a, b) -> Tensor:
     """a @ b for a matrix b; a is a matrix, or a vector that acts as one row:
     (d,) @ (d, k) gives (k,)."""
     a, b = _wrap(a), _wrap(b)
     _check_matmul(a, b)
     out = Tensor(a.data @ b.data)
-    need = _on_tape(a, b)
-    if need:
-        def bwd(g):
-            _matmul_grads(a, b, g, *need)
-        _record(out, (a, b), bwd)
+    if _recording:
+        _record(out, (a, b), lambda g: g @ b.data.T,
+                lambda g: np.atleast_2d(a.data).T @ np.atleast_2d(g))
     return out
 
 
@@ -384,14 +343,10 @@ def linear(x, w, b) -> Tensor:
     y = x.data @ w.data
     y += b.data
     out = Tensor(y)
-    need = _on_tape(x, w, b)
-    if need:
-        need_x, need_w, need_b = need
-        def bwd(g):
-            if need_b:
-                b._accumulate(_unbroadcast(g, b.data.shape))
-            _matmul_grads(x, w, g, need_x, need_w)
-        _record(out, (x, w, b), bwd)
+    if _recording:
+        _record(out, (x, w, b), lambda g: g @ w.data.T,
+                lambda g: np.atleast_2d(x.data).T @ np.atleast_2d(g),
+                lambda g: _unbroadcast(g, b.data.shape))
     return out
 
 
@@ -416,18 +371,14 @@ def segment_pool(x, scores, seg) -> Tensor:
     w = e / np.add.reduceat(e, starts)[seg]
     y = np.add.reduceat(x.data * w[:, None], starts, axis=0)
     out = Tensor(y)
-    need = _on_tape(x, scores)
-    if need:
-        need_x, need_s = need
-        def bwd(g):
-            g_rows = g[seg]
-            if need_s:  # w * (g . x - g . y) per row, row dots without a V x d product
-                dots = np.einsum("vd,vd->v", g_rows, x.data)
-                scores._accumulate(w * (dots - np.einsum("sd,sd->s", g, y)[seg]))
-            if need_x:
-                g_rows *= w[:, None]
-                x._accumulate(g_rows)
-        _record(out, (x, scores), bwd)
+    if _recording:
+        def x_grad(g):
+            rows = g[seg]
+            rows *= w[:, None]
+            return rows
+        # w * (g . x - g . y) per row, row dots without a V x d product
+        _record(out, (x, scores), x_grad, lambda g: w * (
+            np.einsum("vd,vd->v", g[seg], x.data) - np.einsum("sd,sd->s", g, y)[seg]))
     return out
 
 
@@ -439,11 +390,8 @@ def softmax(a, axis=-1) -> Tensor:
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
     out = Tensor(y)
-    if _on_tape(a):
-        def bwd(g):
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            a._accumulate(y * (g - dot))
-        _record(out, (a,), bwd)
+    if _recording:
+        _record(out, (a,), lambda g: y * (g - (g * y).sum(axis=axis, keepdims=True)))
     return out
 
 
@@ -498,16 +446,10 @@ def conv2d(x, kernels, stride: int = 1, pad: int = 0) -> Tensor:
     cols, ho, wo = _im2col(x.data, k, stride, pad)
     w2d = kernels.data.reshape(f, c * k * k)
     out = Tensor((w2d @ cols).reshape(f, ho, wo))
-    need = _on_tape(x, kernels)
-    if need:
-        need_x, need_k = need
-        def bwd(g):
-            g2d = g.reshape(f, ho * wo)
-            if need_k:
-                kernels._accumulate((g2d @ cols.T).reshape(kernels.data.shape))
-            if need_x:
-                x._accumulate(_col2im(w2d.T @ g2d, c, h, w, k, stride, pad))
-        _record(out, (x, kernels), bwd)
+    if _recording:
+        _record(out, (x, kernels),
+                lambda g: _col2im(w2d.T @ g.reshape(f, ho * wo), c, h, w, k, stride, pad),
+                lambda g: (g.reshape(f, ho * wo) @ cols.T).reshape(kernels.data.shape))
     return out
 
 
@@ -532,21 +474,15 @@ def batch_norm(x, gamma, beta) -> Tensor:
         mean, 1.0 / np.sqrt(var + BN_EPS), gamma.data, beta.data))
     xhat = (x.data - mean) * inv_std
     out = Tensor(xhat * g3 + b3)
-    need = _on_tape(x, gamma, beta)
-    if need:
-        need_x, need_gamma, need_beta = need
-        def bwd(g):
-            if need_gamma:
-                gamma._accumulate((g * xhat).sum(axis=axes))
-            if need_beta:
-                beta._accumulate(g.sum(axis=axes))
-            if need_x:
-                gx = g * g3
-                # the paths through the channel mean and variance
-                gx = (gx - gx.mean(axis=axes, keepdims=True)
-                      - xhat * (gx * xhat).mean(axis=axes, keepdims=True))
-                x._accumulate(gx * inv_std)
-        _record(out, (x, gamma, beta), bwd)
+    if _recording:
+        def x_grad(g):
+            gx = g * g3
+            # the paths through the channel mean and variance
+            gx = (gx - gx.mean(axis=axes, keepdims=True)
+                  - xhat * (gx * xhat).mean(axis=axes, keepdims=True))
+            return gx * inv_std
+        _record(out, (x, gamma, beta), x_grad,
+                lambda g: (g * xhat).sum(axis=axes), lambda g: g.sum(axis=axes))
     return out
 
 
@@ -562,10 +498,8 @@ def dropout(x, rate: float, rng) -> Tensor:
         return x
     mask = (rng.random(x.data.shape) >= rate).astype(DTYPE) / (1.0 - rate)
     out = Tensor(x.data * mask)
-    if _on_tape(x):
-        def bwd(g):
-            x._accumulate(g * mask)
-        _record(out, (x,), bwd)
+    if _recording:
+        _record(out, (x,), lambda g: g * mask)
     return out
 
 

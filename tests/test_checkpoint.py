@@ -1,6 +1,7 @@
 """Checkpoint container: save/load round-trip and error contracts."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ def test_save_is_deterministic(tmp_path):
     a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
     save_checkpoint(_fixture_ckpt(), a)
     save_checkpoint(_fixture_ckpt(), b)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_no_adam_state(tmp_path):

@@ -181,6 +181,33 @@ def test_malformed_manifest_is_io_error(tmp_path, manifest):
     assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 3
 
 
+# a config that is not UTF-8 is a usage error, a dataset file an I/O error;
+# either way the message names the file
+@pytest.mark.parametrize("rel, code", [("cfg.yaml", 2), ("data/manifest.yaml", 3),
+                                       ("data/sequences/01/calib.txt", 3),
+                                       ("data/poses/01.txt", 3)])
+def test_non_utf8_text_names_the_file(tmp_path, capsys, rel, code):
+    cfg, _ = _write_cfg(tmp_path)
+    assert main(["synth", "--config", str(cfg)]) == 0
+    path = tmp_path / rel
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "e")]) == code
+    err = capsys.readouterr().err
+    assert str(path) in err and "not UTF-8" in err
+
+
+@pytest.mark.parametrize("name", ["0", "000"])
+def test_sequence_directory_not_two_digits_is_io_error(tmp_path, capsys, name):
+    cfg, data = _write_cfg(tmp_path)
+    assert main(["synth", "--config", str(cfg)]) == 0
+    seq = data / "sequences" / name
+    (data / "sequences" / "00").rename(seq)
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 3
+    assert f"{seq}: a sequence directory is named by two digits" in capsys.readouterr().err
+
+
 def test_manifest_unquoted_keys_keep_their_tags(tmp_path):
     cfg, data = _write_cfg(tmp_path)
     assert main(["synth", "--config", str(cfg)]) == 0

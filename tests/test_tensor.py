@@ -207,6 +207,23 @@ class TestConv2d:
             np.testing.assert_allclose(T.conv2d(x, ker, stride=2, pad=pad).data, full,
                                        rtol=0, atol=1e-13)
 
+    def test_constant_input_gets_no_gradient(self, monkeypatch):
+        # the image input is a constant: backward computes only the kernels'
+        # gradient, the same bits as when the input is on the tape too
+        rng = make_rng(0)
+        x, ker = rng.normal(size=(2, 6, 6)), rng.normal(size=(3, 2, 3, 3))
+        k_ref = T.Tensor(ker, requires_grad=True)
+        T.tsum(T.tanh(T.conv2d(T.Tensor(x, requires_grad=True), k_ref, pad=1))).backward()
+
+        def no_col2im(*args):
+            raise AssertionError("conv2d scattered a gradient into a constant input")
+
+        monkeypatch.setattr(T, "_col2im", no_col2im)
+        const, k = T.Tensor(x), T.Tensor(ker, requires_grad=True)
+        T.tsum(T.tanh(T.conv2d(const, k, pad=1))).backward()
+        assert const.grad is None
+        np.testing.assert_array_equal(k.grad, k_ref.grad)
+
 
 class TestSoftmax:
     def test_symmetry(self):
@@ -384,6 +401,17 @@ class TestNoGrad:
                 T.softmax(T.Tensor([np.nan]))
         T.tsum(T.mul(x, x)).backward()
         assert np.allclose(x.grad, [2.0, 4.0])
+
+
+@pytest.mark.parametrize("name, fn", OP_CLOSURES, ids=[n for n, _ in OP_CLOSURES])
+def test_op_on_constants_records_nothing(name, fn):
+    # every gradcheck row, fed the same shapes as constants: no node reaches
+    # the tape, so the root (which any taped node would feed) records nothing
+    rng = make_rng(0)
+    shapes = {"a2": (3, 4), "b2": (4, 2), "row": (4,), "vec": (4,), "img": (2, 5, 6),
+              "ker": (3, 2, 3, 3), "gamma": (4,), "beta": (4,), "bias": (2,), "wts": (2, 5)}
+    root = fn({key: T.Tensor(rng.normal(size=shape)) for key, shape in shapes.items()})
+    assert root._backward_fn is None and root._parents == ()
 
 
 class TestFloat64:
